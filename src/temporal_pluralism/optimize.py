@@ -8,9 +8,9 @@ order, which keeps golden results stable across platforms.
 optimize_exhaustive is the exact oracle (every action sequence within a
 budget).  optimize_greedy commits one action at a time after scoring
 d-step extensions.  optimize_memory_q learns a tabular policy over the
-environment state augmented with an explicit memory of per-stakeholder
-statuses and machine states, with the whole-trajectory score granted as a
-terminal reward.
+environment state augmented with the scheme's status state (see
+scheme.step_state), with the whole-trajectory score granted as a terminal
+reward.
 """
 
 from __future__ import annotations
@@ -23,17 +23,17 @@ from dataclasses import dataclass
 from .environment import LabelledEnv, Trajectory, replay
 from .errors import PluralismError
 from .scheme import (
-    AnytimeFilter,
     AtomCountSource,
     EmptyFilterError,
-    LongTermFilter,
+    EventCountFilter,
     MachineSource,
-    PeriodicFilter,
     Scheme,
     aggregate,
     check_alphabet_compatibility,
     pluralism_score,
+    start_state,
     status_eval,
+    step_state,
 )
 
 
@@ -167,18 +167,6 @@ def optimize_greedy(
     )
 
 
-def _times_for_horizon(filt, horizon: int) -> tuple:
-    if isinstance(filt, LongTermFilter):
-        return (horizon,) if horizon >= 1 else ()
-    if isinstance(filt, PeriodicFilter):
-        return tuple(range(filt.period, horizon + 1, filt.period))
-    if isinstance(filt, AnytimeFilter):
-        return tuple(range(1, horizon + 1))
-    raise UnsupportedSchemeError(
-        "the learner needs a long-term, periodic, or anytime filter"
-    )
-
-
 def _check_learnable(scheme: Scheme) -> None:
     for i, sk in enumerate(scheme.status.stakeholders, start=1):
         if sk.accumulation != "sum":
@@ -196,43 +184,10 @@ def _check_learnable(scheme: Scheme) -> None:
         raise UnsupportedSchemeError(
             f"stakeholder {i}: the learner needs atom-count or machine sources"
         )
-
-
-class _Memory:
-    """Per-stakeholder integer statuses plus machine states, as a hashable key."""
-
-    __slots__ = ("scheme", "cap")
-
-    def __init__(self, scheme: Scheme, cap: int):
-        self.scheme = scheme
-        self.cap = cap
-
-    def initial(self) -> tuple:
-        parts = []
-        for sk in self.scheme.status.stakeholders:
-            if isinstance(sk.source, MachineSource):
-                parts.append((0, sk.source.machine.initial))
-            else:
-                parts.append((0, None))
-        return tuple(parts)
-
-    def advance(self, mem: tuple, label) -> tuple:
-        from .machine import step_machine
-
-        parts = []
-        for (count, mstate), sk in zip(mem, self.scheme.status.stakeholders):
-            if isinstance(sk.source, AtomCountSource):
-                gained = 1 if sk.source.atom in label else 0
-                parts.append((count + gained, None))
-            else:
-                nstate, r = step_machine(sk.source.machine, mstate, label)
-                parts.append((count + int(r), nstate))
-        for count, _ in parts:
-            if count > self.cap:
-                raise MemoryCapExceededError(
-                    f"status {count} exceeds the memory cap {self.cap}"
-                )
-        return tuple(parts)
+    if isinstance(scheme.filter, EventCountFilter):
+        raise UnsupportedSchemeError(
+            "the learner needs a long-term, periodic, or anytime filter"
+        )
 
 
 def optimize_memory_q(
@@ -245,16 +200,17 @@ def optimize_memory_q(
     seed: int = 0,
     memory_cap: int = None,
 ) -> PolicyResult:
-    """Episodic tabular Q-learning over (env state, memory, time).
+    """Episodic tabular Q-learning over (env state, status state).
 
-    The memory tracks each stakeholder's integer status and machine state,
+    The status state (scheme.step_state) holds the step index, each
+    stakeholder's integer status and each machine's state; statuses are
     capped at `memory_cap` (default: the horizon, which is exact for
     atom counts).  The whole-trajectory score arrives as a terminal reward
     and is swept backwards through the episode.  For a long-term filter
-    the memory determines that reward, so on a deterministic environment
-    the learned policy converges to the optimum; for periodic and anytime
-    filters contributions already banked at earlier filtered times are not
-    part of the memory, so learning is approximate there.
+    the status state determines that reward, so on a deterministic
+    environment the learned policy converges to the optimum; for periodic
+    and anytime filters contributions already banked at earlier filtered
+    times are not part of the state, so learning is approximate there.
 
     Reproducible per seed; zero episodes yield the policy that always
     takes the first declared action (empty table, lexicographic ties).
@@ -265,11 +221,9 @@ def optimize_memory_q(
         raise ValueError("episodes must be >= 0")
     check_alphabet_compatibility(scheme, env.alphabet)
     _check_learnable(scheme)
-    if not _times_for_horizon(scheme.filter, horizon):
-        raise EmptyFilterError(f"the filter passes no time at horizon {horizon}")
     started = time.perf_counter()
     cap = horizon if memory_cap is None else memory_cap
-    memory = _Memory(scheme, cap)
+    status = scheme.status
     actions = env.actions
     rng = random.Random(seed)
     q: dict = {}
@@ -285,21 +239,26 @@ def optimize_memory_q(
     def run_episode(explore: bool):
         nonlocal evaluations
         state = env.reset(seed)
-        mem = memory.initial()
+        memory = start_state(status)
         states = [env.state_id(state)]
         acts: list = []
         labels: list = []
         path: list = []
-        for t in range(1, horizon + 1):
-            key = (env.state_id(state), mem, t)
+        for _ in range(horizon):
+            key = (states[-1], memory)
             row = q.setdefault(key, [0.0] * len(actions))
             if explore and rng.random() < epsilon:
                 ai = rng.randrange(len(actions))
             else:
                 ai = greedy_index(row)
             state, label = env.step(state, actions[ai], rng)
-            mem = memory.advance(mem, label)
             states.append(env.state_id(state))
+            memory = step_state(status, memory, states[-2], actions[ai], states[-1], label)
+            for total in memory[1]:
+                if total > cap:
+                    raise MemoryCapExceededError(
+                        f"status {int(total)} exceeds the memory cap {cap}"
+                    )
             acts.append(actions[ai])
             labels.append(label)
             path.append((key, ai))

@@ -13,18 +13,23 @@ parts compose:
 The score of a trajectory is W applied to U at every filtered time.  The
 length-0 prefix is never scored: filters draw from (1..T) only.
 
-Scoring has two routes.  `pluralism_score` advances one tracker per
-stakeholder down the trajectory; `pluralism_score_reference` recomputes
-every filtered prefix from scratch.  Both run the same accumulation
-arithmetic in the same order, so they agree bit for bit, and the test
-suite holds them to that.
+What a scheme remembers between steps is one flat, hashable status state
+`(t, totals, weights, machine states)`: `start_state` makes it,
+`step_state` advances it by one transition, and `state_vector` reads U off
+it.  Scoring folds that step along the trajectory, and the memory_q
+learner keys its Q-table on it.
+
+Scoring has two routes.  `pluralism_score` folds `step_state` down the
+trajectory; `pluralism_score_reference` recomputes every filtered prefix
+from scratch.  Both run the same accumulation arithmetic in the same
+order, so they agree bit for bit, and the test suite holds them to that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence, Union
 
 from .environment import Trajectory
 from .errors import PluralismError
@@ -65,6 +70,10 @@ class MachineSource:
 
     machine: RewardMachine
     path: str = None
+    atoms: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "atoms", frozenset(self.machine.alphabet))
 
     def __eq__(self, other):
         if not isinstance(other, MachineSource):
@@ -129,10 +138,6 @@ class StatusFunction:
         return len(self.stakeholders)
 
 
-def _machine_atoms(machine: RewardMachine) -> frozenset:
-    return frozenset(machine.alphabet)
-
-
 def _check_label(label, atoms: frozenset) -> None:
     extra = label - atoms
     if extra:
@@ -146,9 +151,8 @@ def _step_reward_stream(source: StatusSource, traj: Trajectory) -> list:
     if isinstance(source, AtomCountSource):
         return [1.0 if source.atom in lab else 0.0 for lab in traj.labels]
     if isinstance(source, MachineSource):
-        atoms = _machine_atoms(source.machine)
         for lab in traj.labels:
-            _check_label(lab, atoms)
+            _check_label(lab, source.atoms)
         return list(run_machine(source.machine, traj.labels).rewards)
     if isinstance(source, MarkovTableSource):
         return [
@@ -181,58 +185,66 @@ def status_eval(status: StatusFunction, traj: Trajectory) -> tuple:
     )
 
 
-class _Tracker:
-    """Incremental per-stakeholder accumulator.
+def start_state(status: StatusFunction) -> tuple:
+    """The status state of the empty prefix: (t, totals, weights, machine states)."""
+    n = status.n
+    machine_states = tuple([
+        sk.source.machine.initial if isinstance(sk.source, MachineSource) else None
+        for sk in status.stakeholders
+    ])
+    return 0, (0.0,) * n, (1.0,) * n, machine_states
+
+
+def step_state(status: StatusFunction, state: tuple, s: str, a: str, s2: str, label) -> tuple:
+    """The status state one transition (s, a, s2) with `label` later.
 
     Mirrors _accumulate step for step: the same additions in the same
-    order, so sampled values match the scratch route exactly.
+    order, so vectors read off the state match the scratch route exactly.
     """
-
-    __slots__ = ("sk", "atoms", "machine_state", "steps", "total", "weight")
-
-    def __init__(self, sk: StakeholderStatus):
-        self.sk = sk
-        if isinstance(sk.source, MachineSource):
-            self.atoms = _machine_atoms(sk.source.machine)
-            self.machine_state = sk.source.machine.initial
-        else:
-            self.atoms = None
-            self.machine_state = None
-        self.steps = 0
-        self.total = 0.0
-        self.weight = 1.0
-
-    def advance(self, s: str, a: str, s2: str, label) -> None:
-        src = self.sk.source
+    t, totals, weights, machine_states = state
+    new_totals, new_weights, new_machine_states = [], [], []
+    discounted = machines = False
+    for sk, total, weight, mstate in zip(status.stakeholders, totals, weights, machine_states):
+        src = sk.source
         if isinstance(src, AtomCountSource):
             r = 1.0 if src.atom in label else 0.0
         elif isinstance(src, MachineSource):
-            _check_label(label, self.atoms)
-            self.machine_state, r = step_machine(src.machine, self.machine_state, label)
+            machines = True
+            _check_label(label, src.atoms)
+            mstate, r = step_machine(src.machine, mstate, label)
         else:
             r = src.rewards.get((s, a, s2), src.default)
-        if self.sk.accumulation == "discounted":
-            self.total += self.weight * r
-            self.weight *= self.sk.gamma
+        if sk.accumulation == "discounted":
+            discounted = True
+            total += weight * r
+            weight *= sk.gamma
         else:
-            self.total += r
-        self.steps += 1
+            total += r
+        new_totals.append(total)
+        new_weights.append(weight)
+        new_machine_states.append(mstate)
+    # Parts no stakeholder can change stay the same tuple, so the states
+    # that memory_q keeps as Q-table keys share them.
+    return (
+        t + 1,
+        tuple(new_totals),
+        tuple(new_weights) if discounted else weights,
+        tuple(new_machine_states) if machines else machine_states,
+    )
 
-    def value(self) -> float:
-        if self.sk.accumulation == "mean":
-            return self.total / self.steps if self.steps else 0.0
-        return self.total
 
-
-def iter_status_vectors(status: StatusFunction, traj: Trajectory) -> Iterator:
-    """Yield (t, U(τ_t)) for t = 1..T in one sweep."""
-    trackers = [_Tracker(sk) for sk in status.stakeholders]
-    for t in range(1, traj.horizon + 1):
-        s, a, s2 = traj.states[t - 1], traj.actions[t - 1], traj.states[t]
-        label = traj.labels[t - 1]
-        for tr in trackers:
-            tr.advance(s, a, s2, label)
-        yield t, tuple(tr.value() for tr in trackers)
+def state_vector(status: StatusFunction, state: tuple) -> tuple:
+    """U(τ_t) of the prefix the state has consumed."""
+    t, totals = state[0], state[1]
+    for sk in status.stakeholders:
+        if sk.accumulation == "mean":
+            break
+    else:
+        return totals  # sum and discounted statuses are their running totals
+    return tuple([
+        (total / t if t else 0.0) if sk.accumulation == "mean" else total
+        for sk, total in zip(status.stakeholders, totals)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +329,6 @@ def aggregate(agg: Aggregation, vectors: Sequence) -> float:
 class LongTermFilter:
     """Only the full trajectory counts."""
 
-    def times(self, traj: Trajectory) -> tuple:
-        return (traj.horizon,) if traj.horizon >= 1 else ()
-
 
 @dataclass(frozen=True)
 class PeriodicFilter:
@@ -331,16 +340,10 @@ class PeriodicFilter:
         if self.period < 1:
             raise ValueError("period must be >= 1")
 
-    def times(self, traj: Trajectory) -> tuple:
-        return tuple(range(self.period, traj.horizon + 1, self.period))
-
 
 @dataclass(frozen=True)
 class AnytimeFilter:
     """Every prefix counts; same times as a period-1 periodic filter."""
-
-    def times(self, traj: Trajectory) -> tuple:
-        return tuple(range(1, traj.horizon + 1))
 
 
 @dataclass(frozen=True)
@@ -360,23 +363,29 @@ class EventCountFilter:
         if self.every < 1:
             raise ValueError("event count must be >= 1")
 
-    def times(self, traj: Trajectory) -> tuple:
-        out = []
-        count = 0
-        for t, lab in enumerate(traj.labels, start=1):
-            if self.atom in lab:
-                count += 1
-                if count % self.every == 0:
-                    out.append(t)
-        return tuple(out)
-
 
 FilterFunction = Union[LongTermFilter, PeriodicFilter, AnytimeFilter, EventCountFilter]
 
 
 def filter_times(filt: FilterFunction, traj: Trajectory) -> tuple:
     """The increasing subsequence of (1..T) passing the filter."""
-    return filt.times(traj)
+    horizon = traj.horizon
+    if isinstance(filt, LongTermFilter):
+        return (horizon,) if horizon >= 1 else ()
+    if isinstance(filt, PeriodicFilter):
+        return tuple(range(filt.period, horizon + 1, filt.period))
+    if isinstance(filt, AnytimeFilter):
+        return tuple(range(1, horizon + 1))
+    if isinstance(filt, EventCountFilter):
+        out = []
+        count = 0
+        for t, lab in enumerate(traj.labels, start=1):
+            if filt.atom in lab:
+                count += 1
+                if count % filt.every == 0:
+                    out.append(t)
+        return tuple(out)
+    raise TypeError(f"not a filter: {filt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +428,18 @@ def _empty_filter_result(scheme: Scheme, traj: Trajectory) -> float:
 
 
 def status_table(scheme: Scheme, traj: Trajectory) -> list:
-    """[(t, U(τ_t)) for every filtered t], via the incremental sweep."""
+    """[(t, U(τ_t)) for every filtered t], folding step_state up to each t."""
     times = filter_times(scheme.filter, traj)
     if not times:
         return []
-    wanted = set(times)
-    last = times[-1]
+    status = scheme.status
+    states, actions, labels = traj.states, traj.actions, traj.labels
+    state = start_state(status)
     rows = []
-    for t, vec in iter_status_vectors(scheme.status, traj):
-        if t in wanted:
-            rows.append((t, vec))
-        if t == last:
-            break
+    for t in times:
+        for i in range(state[0], t):
+            state = step_state(status, state, states[i], actions[i], states[i + 1], labels[i])
+        rows.append((t, state_vector(status, state)))
     return rows
 
 

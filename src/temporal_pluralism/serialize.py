@@ -16,6 +16,7 @@ The full grammar of each format lives in docs/formats.md.
 from __future__ import annotations
 
 import csv
+import math
 import shlex
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,9 +103,12 @@ def _consume_version(lines: list, path: str = None) -> list:
 
 def _parse_real(token: str, lineno: int, path: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise FormatError(f"not a number: '{token}'", lineno, path)
+    if not math.isfinite(value):
+        raise FormatError(f"not a finite number: '{token}'", lineno, path)
+    return value
 
 
 def _parse_int(token: str, lineno: int, path: str) -> int:

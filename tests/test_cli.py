@@ -287,6 +287,42 @@ class TestDescribe:
         assert "6 transitions" in out
 
 
+class TestNonFiniteNumbers:
+    """nan and infinities in a reward file are rejected, naming the line."""
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_machine_reward(self, run_cli, fixtures_dir, tmp_path, token):
+        text = (fixtures_dir / "fig2.rm").read_text()
+        bad = tmp_path / "fig2.rm"
+        bad.write_text(text.replace('trans u1 "cake" u2 1', f'trans u1 "cake" u2 {token}'))
+        code, out, err = run_cli("validate", str(bad))
+        assert code == 1
+        assert "INVALID" in out
+        assert f"fig2.rm:9: not a finite number: '{token}'" in out
+        code, out, err = run_cli("describe", str(bad))
+        assert code == 1
+        assert f"fig2.rm:9: not a finite number: '{token}'" in err
+
+    @pytest.mark.parametrize("line", ["default", "reward"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_markov_table(self, run_cli, fixtures_dir, tmp_path, token, line):
+        scheme = tmp_path / "restaurant3_mixed.scheme"
+        scheme.write_text((fixtures_dir / scheme.name).read_text())
+        text = (fixtures_dir / "opening_moves.mt").read_text()
+        old, lineno = ("default 0", 2) if line == "default" else ("v1 sushi v2 1", 4)
+        new = old.rsplit(" ", 1)[0] + " " + token
+        bad = tmp_path / "opening_moves.mt"
+        bad.write_text(text.replace(old, new))
+        message = f"opening_moves.mt:{lineno}: not a finite number: '{token}'"
+        code, out, err = run_cli("validate", str(bad))
+        assert code == 1
+        assert "INVALID" in out
+        assert message in out
+        code, out, err = run_cli("describe", str(scheme))
+        assert code == 1
+        assert message in err
+
+
 class TestFixtureDirFallback:
     def test_bare_names_resolve_through_the_env_var(
         self, run_cli, fixtures_dir, monkeypatch, tmp_path

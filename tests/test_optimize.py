@@ -146,6 +146,24 @@ class TestMemoryQ:
         oracle = optimize_exhaustive(env, scheme, horizon=4)
         assert result.score <= oracle.score + 1e-12
 
+    def test_periodic_filter_golden(self):
+        # Pins how the Q-table is keyed: the optimum is 36, and this run
+        # learns a non-trivial 24 that a differently keyed table would move.
+        env, scheme = distinct_env(3), count_scheme(3, filt=PeriodicFilter(4))
+        result = optimize_memory_q(env, scheme, horizon=8, episodes=500, seed=0)
+        assert result.trajectory.actions == (
+            "italian", "sushi", "sushi", "taco", "taco", "sushi", "sushi", "taco",
+        )
+        assert result.score == 24.0
+        assert result.evaluations == 501
+
+    @pytest.mark.parametrize("filt, horizon", [(PeriodicFilter(5), 4), (LongTermFilter(), 0)])
+    def test_filter_passing_no_time_is_an_empty_filter_error(self, filt, horizon):
+        scheme = count_scheme(2, filt=filt)
+        for episodes in (0, 10):
+            with pytest.raises(EmptyFilterError):
+                optimize_memory_q(distinct_env(2), scheme, horizon, episodes=episodes, seed=0)
+
     def test_event_count_filter_rejected(self):
         scheme = count_scheme(2, filt=EventCountFilter("visit", 2))
         with pytest.raises(UnsupportedSchemeError):

@@ -26,11 +26,11 @@ from temporal_pluralism.scheme import (
     aggregate,
     check_alphabet_compatibility,
     filter_times,
-    iter_status_vectors,
     log_pluralism_score,
     pluralism_score,
     pluralism_score_reference,
     status_eval,
+    status_table,
 )
 
 ALPHA = ("pasta", "cake")
@@ -431,8 +431,11 @@ def test_incremental_equals_scratch_bit_for_bit(scheme, traj):
 
 
 @given(schemes, trajectories)
-def test_iter_status_vectors_matches_scratch(scheme, traj):
-    for t, vec in iter_status_vectors(scheme.status, traj):
+def test_status_table_matches_scratch(scheme, traj):
+    every_prefix = Scheme(scheme.status, scheme.aggregation, AnytimeFilter())
+    rows = status_table(every_prefix, traj)
+    assert [t for t, _ in rows] == list(range(1, traj.horizon + 1))
+    for t, vec in rows:
         assert vec == status_eval(scheme.status, traj.prefix(t))
 
 
