@@ -27,8 +27,9 @@ from .environment import (
     sequence_policy,
 )
 from .errors import PluralismError
+from .formula import format_valuation, print_formula
 from .machine import validate_machine
-from .optimize import optimize_exhaustive, optimize_greedy, optimize_memory_q
+from .optimize import DEFAULT_BUDGET, optimize_exhaustive, optimize_greedy, optimize_memory_q
 from .scheme import (
     AnytimeFilter,
     AtomCountSource,
@@ -42,10 +43,10 @@ from .scheme import (
     pluralism_score,
 )
 from .serialize import (
-    FormatError,
     format_real,
     load_env,
     load_machine,
+    load_markov_table,
     load_scheme,
     load_trajectory,
     parse_machine_text,
@@ -86,7 +87,7 @@ def cmd_validate(args) -> int:
     for given in args.paths:
         path = resolve_path(given)
         try:
-            verdict = _validate_one(path)
+            verdict = _file_kind(path)[0](path)
         except (PluralismError, OSError) as err:
             print(f"{given}: INVALID")
             print(f"  {err}")
@@ -94,33 +95,6 @@ def cmd_validate(args) -> int:
             continue
         print(f"{given}: {verdict}")
     return 1 if failed else 0
-
-
-def _validate_one(path: str) -> str:
-    suffix = Path(path).suffix
-    if suffix == ".rm":
-        machine = parse_machine_text(Path(path).read_text(), path)
-        report = validate_machine(machine)
-        if not report.ok:
-            raise PluralismError(
-                "not a valid machine\n  " + "\n  ".join(p.describe() for p in report.problems)
-            )
-        return f"ok ({report.describe()})"
-    if suffix == ".scheme":
-        load_scheme(path)
-        return "ok"
-    if suffix == ".env":
-        load_env(path)
-        return "ok"
-    if suffix == ".traj":
-        load_trajectory(path)
-        return "ok"
-    if suffix == ".mt":
-        from .serialize import load_markov_table
-
-        load_markov_table(path)
-        return "ok"
-    raise PluralismError(f"unknown file kind '{suffix}'")
 
 
 def _maybe_warn_anytime(scheme, score: float) -> None:
@@ -185,7 +159,6 @@ def cmd_optimize(args) -> int:
             episodes=args.episodes,
             epsilon=args.epsilon,
             seed=args.seed,
-            memory_cap=args.memory_cap,
         )
     write_results(result, scheme, args.out)
     print(f"score {format_real(result.score)}")
@@ -219,22 +192,30 @@ _FILTER_LABELS = {
 def cmd_describe(args) -> int:
     for given in args.paths:
         path = resolve_path(given)
-        suffix = Path(path).suffix
-        if suffix == ".rm":
-            _describe_machine(given, path)
-        elif suffix == ".scheme":
-            _describe_scheme(given, path)
-        elif suffix == ".env":
-            _describe_env(given, path)
-        else:
-            raise PluralismError(f"describe does not handle '{suffix}' files")
+        _file_kind(path)[1](given, path)
     return 0
+
+
+def _check_machine(path: str) -> str:
+    machine = parse_machine_text(Path(path).read_text(), path)
+    report = validate_machine(machine)
+    if not report.ok:
+        raise PluralismError(
+            "not a valid machine\n  " + "\n  ".join(p.describe() for p in report.problems)
+        )
+    return f"ok ({report.describe()})"
+
+
+def _loads(load):
+    def check(path: str) -> str:
+        load(path)
+        return "ok"
+
+    return check
 
 
 def _describe_machine(given: str, path: str) -> None:
     machine = load_machine(path)
-    from .formula import print_formula
-
     print(f"{given}: reward machine, {len(machine.states)} states, "
           f"{len(machine.transitions)} transitions")
     print(f"  alphabet: {', '.join(machine.alphabet)}")
@@ -294,6 +275,54 @@ def _describe_env(given: str, path: str) -> None:
     print(f"  alphabet: {', '.join(env.alphabet)}")
 
 
+def _describe_markov_table(given: str, path: str) -> None:
+    table = load_markov_table(path)
+    print(f"{given}: markov reward table, {len(table.rewards)} entries, "
+          f"default {format_real(table.default)}")
+    for (s, a, s2), r in sorted(table.rewards.items()):
+        print(f"  {s} --{a} {format_real(r)}--> {s2}")
+
+
+def _describe_trajectory(given: str, path: str) -> None:
+    traj = load_trajectory(path)
+    print(f"{given}: trajectory, horizon {traj.horizon}, initial state {traj.states[0]}")
+    steps = zip(traj.actions, traj.states[1:], traj.labels)
+    for t, (action, state, label) in enumerate(steps, start=1):
+        print(f"  {t}: {action} --> {state} {format_valuation(label)}")
+
+
+# suffix -> (validate: path -> verdict, describe: (given, path) -> None)
+_FILE_KINDS = {
+    ".rm": (_check_machine, _describe_machine),
+    ".scheme": (_loads(load_scheme), _describe_scheme),
+    ".env": (_loads(load_env), _describe_env),
+    ".traj": (_loads(load_trajectory), _describe_trajectory),
+    ".mt": (_loads(load_markov_table), _describe_markov_table),
+}
+
+
+def _file_kind(path: str) -> tuple:
+    suffix = Path(path).suffix
+    if suffix not in _FILE_KINDS:
+        raise PluralismError(f"unknown file kind '{suffix}'")
+    return _FILE_KINDS[suffix]
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got '{text}'")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pluralism",
@@ -302,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("validate", help="check machines, schemes, envs, trajectories")
+    v = sub.add_parser("validate", help="check machines, schemes, envs, tables, trajectories")
     v.add_argument("paths", nargs="+")
     v.set_defaults(func=cmd_validate, parser=v)
 
@@ -312,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--traj")
     src.add_argument("--env")
     ev.add_argument("--policy", help="always:ACT | cycle:A,B | seq:A,B | random")
-    ev.add_argument("--horizon", type=int)
+    ev.add_argument("--horizon", type=_int_at_least(0))
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", help="directory for the status CSV")
     ev.set_defaults(func=cmd_evaluate, parser=ev)
@@ -321,14 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--env", required=True)
     op.add_argument("--scheme", required=True)
     op.add_argument("--method", required=True, choices=("exhaustive", "greedy", "memory_q"))
-    op.add_argument("--horizon", type=int, required=True)
+    op.add_argument("--horizon", type=_int_at_least(0), required=True)
     op.add_argument("--seed", type=int, required=True)
     op.add_argument("--out", required=True, help="directory for result files")
-    op.add_argument("--budget", type=int, default=10_000_000)
-    op.add_argument("--lookahead", type=int, default=1)
-    op.add_argument("--episodes", type=int, default=5000)
+    op.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    op.add_argument("--lookahead", type=_int_at_least(1), default=1)
+    op.add_argument("--episodes", type=_int_at_least(0), default=5000)
     op.add_argument("--epsilon", type=float, default=0.3)
-    op.add_argument("--memory-cap", type=int, default=None)
     op.set_defaults(func=cmd_optimize, parser=op)
 
     cp = sub.add_parser("compare", help="score one trajectory under several schemes")
@@ -336,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--schemes", required=True, help="comma-separated scheme files (>= 2)")
     cp.set_defaults(func=cmd_compare, parser=cp)
 
-    de = sub.add_parser("describe", help="pretty-print machines, schemes, envs")
+    de = sub.add_parser("describe", help="pretty-print any file kind validate reads")
     de.add_argument("paths", nargs="+")
     de.set_defaults(func=cmd_describe, parser=de)
 
@@ -347,13 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except PluralismError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (PluralismError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ alphabet sizes that occur in practice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -51,6 +52,10 @@ class Transition:
     guard: PropFormula
     target: str
     reward: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.reward):
+            raise ValueError(f"transition reward must be finite, got {self.reward}")
 
 
 @dataclass(frozen=True)

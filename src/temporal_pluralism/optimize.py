@@ -1,16 +1,19 @@
 """Search for action sequences that maximize a scheme's pluralism score.
 
 Three methods, one contract: the returned score is always recomputed by an
-independent pluralism_score call on the returned trajectory, and every
-tie anywhere breaks lexicographically in the environment's declared action
-order, which keeps golden results stable across platforms.
+independent pluralism_score call on the returned trajectory (see _result),
+and every tie anywhere breaks lexicographically in the environment's
+declared action order, which keeps golden results stable across platforms.
 
 optimize_exhaustive is the exact oracle (every action sequence within a
 budget).  optimize_greedy commits one action at a time after scoring
-d-step extensions.  optimize_memory_q learns a tabular policy over the
-environment state augmented with the scheme's status state (see
-scheme.step_state), with the whole-trajectory score granted as a terminal
-reward.
+d-step extensions.  Both run the one scan _best_extension, from
+different prefixes to different depths.  optimize_memory_q learns a
+tabular policy over the environment state augmented with the scheme's
+status state (see scheme.step_state), with the whole-trajectory score
+granted as a terminal reward.  Its table needs no cap: it gains at most
+one key per step of each episode, and the integer statuses it keys on
+are bounded by the largest reward times the horizon.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ class BudgetExceededError(PluralismError):
     """The instance has more action sequences than the enumeration budget."""
 
 
-class MemoryCapExceededError(PluralismError):
-    """A stakeholder's integer status outgrew the learner's memory cap."""
-
-
 class UnsupportedSchemeError(PluralismError):
     """The learner only handles integer-status schemes with time-based filters."""
 
@@ -59,6 +58,53 @@ class PolicyResult:
 
 
 DEFAULT_BUDGET = 10_000_000
+
+
+def _result(
+    scheme: Scheme, traj: Trajectory, method: str, evaluations: int, started: float
+) -> PolicyResult:
+    """Every optimizer's result: the trajectory rescored, the wall time stamped."""
+    return PolicyResult(
+        trajectory=traj,
+        score=pluralism_score(scheme, traj),
+        method=method,
+        evaluations=evaluations,
+        wall_time=time.perf_counter() - started,
+    )
+
+
+def _best_extension(
+    env: LabelledEnv, scheme: Scheme, prefix: tuple, depth: int, seed: int, full: bool
+) -> tuple:
+    """(extension, evaluations): the best `depth`-action extension of `prefix`.
+
+    Every extension is replayed from reset.  When it reaches the full
+    horizon it is keyed by the scheme's score, and skipped if the filter
+    selects no prefix (as an event-count filter may).  A shorter one is
+    keyed by a surrogate: the aggregation applied to its status vector
+    alone, ties broken by the sorted vector (worst entry first).  The first
+    strictly larger key wins, so ties keep declared action order.  If
+    nothing is scorable the last EmptyFilterError surfaces.
+    """
+    best_key = best_ext = skip_error = None
+    evaluations = 0
+    for ext in itertools.product(env.actions, repeat=depth):
+        traj = replay(env, prefix + ext, seed)
+        evaluations += 1
+        if full:
+            try:
+                key = (pluralism_score(scheme, traj),)
+            except EmptyFilterError as err:
+                skip_error = err
+                continue
+        else:
+            vec = status_eval(scheme.status, traj)
+            key = (aggregate(scheme.aggregation, [vec]), tuple(sorted(vec)))
+        if best_key is None or key > best_key:
+            best_key, best_ext = key, ext
+    if best_ext is None:
+        raise skip_error or EmptyFilterError("no scorable action sequence")
+    return best_ext, evaluations
 
 
 def optimize_exhaustive(
@@ -82,33 +128,8 @@ def optimize_exhaustive(
             f"{len(env.actions)}^{horizon} = {n_candidates} sequences exceed the budget {budget}"
         )
     started = time.perf_counter()
-    best_seq = None
-    best_score = None
-    evaluations = 0
-    skip_error = None
-    for seq in itertools.product(env.actions, repeat=horizon):
-        traj = replay(env, seq, seed)
-        evaluations += 1
-        try:
-            score = pluralism_score(scheme, traj)
-        except EmptyFilterError as err:
-            skip_error = err
-            continue
-        if best_score is None or score > best_score:
-            best_score = score
-            best_seq = seq
-    if best_seq is None:
-        raise skip_error if skip_error is not None else EmptyFilterError(
-            "no scorable action sequence"
-        )
-    best_traj = replay(env, best_seq, seed)
-    return PolicyResult(
-        trajectory=best_traj,
-        score=pluralism_score(scheme, best_traj),
-        method="exhaustive",
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - started,
-    )
+    best, evaluations = _best_extension(env, scheme, (), horizon, seed, full=True)
+    return _result(scheme, replay(env, best, seed), "exhaustive", evaluations, started)
 
 
 def optimize_greedy(
@@ -121,9 +142,7 @@ def optimize_greedy(
     """Commit one action at a time, scoring every d-step extension.
 
     Extensions that reach the full horizon are compared by the actual
-    scheme.  Shorter ones cannot be, so they get a surrogate: the
-    aggregation applied to the prefix's status vector alone, with ties
-    broken by the sorted status vector (worst entry first), which steers
+    scheme; shorter ones by the surrogate of _best_extension, which steers
     early play toward balance instead of letting declared action order
     pick a favorite stakeholder forever.  Final ties keep declared action
     order, so lookahead == horizon reproduces the exhaustive result.
@@ -132,39 +151,15 @@ def optimize_greedy(
         raise ValueError("lookahead must be >= 1")
     check_alphabet_compatibility(scheme, env.alphabet)
     started = time.perf_counter()
-    chosen: list = []
+    chosen: tuple = ()
     evaluations = 0
     while len(chosen) < horizon:
         depth = min(lookahead, horizon - len(chosen))
         full = len(chosen) + depth == horizon
-        best_key = None
-        best_action = None
-        for ext in itertools.product(env.actions, repeat=depth):
-            seq = tuple(chosen) + ext
-            traj = replay(env, seq, seed)
-            evaluations += 1
-            if full:
-                try:
-                    key = (pluralism_score(scheme, traj),)
-                except EmptyFilterError:
-                    continue
-            else:
-                vec = status_eval(scheme.status, traj)
-                key = (aggregate(scheme.aggregation, [vec]), tuple(sorted(vec)))
-            if best_key is None or key > best_key:
-                best_key = key
-                best_action = ext[0]
-        if best_action is None:
-            raise EmptyFilterError("no scorable extension at step " + str(len(chosen) + 1))
-        chosen.append(best_action)
-    best_traj = replay(env, chosen, seed)
-    return PolicyResult(
-        trajectory=best_traj,
-        score=pluralism_score(scheme, best_traj),
-        method="greedy",
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - started,
-    )
+        ext, spent = _best_extension(env, scheme, chosen, depth, seed, full)
+        chosen += ext[:1]
+        evaluations += spent
+    return _result(scheme, replay(env, chosen, seed), "greedy", evaluations, started)
 
 
 def _check_learnable(scheme: Scheme) -> None:
@@ -195,22 +190,22 @@ def optimize_memory_q(
     scheme: Scheme,
     horizon: int,
     episodes: int = 5000,
-    alpha: float = 1.0,
     epsilon: float = 0.3,
     seed: int = 0,
-    memory_cap: int = None,
 ) -> PolicyResult:
     """Episodic tabular Q-learning over (env state, status state).
 
     The status state (scheme.step_state) holds the step index, each
-    stakeholder's integer status and each machine's state; statuses are
-    capped at `memory_cap` (default: the horizon, which is exact for
-    atom counts).  The whole-trajectory score arrives as a terminal reward
-    and is swept backwards through the episode.  For a long-term filter
-    the status state determines that reward, so on a deterministic
-    environment the learned policy converges to the optimum; for periodic
-    and anytime filters contributions already banked at earlier filtered
-    times are not part of the state, so learning is approximate there.
+    stakeholder's integer status and each machine's state.  The
+    whole-trajectory score arrives as a terminal reward and is swept
+    backwards through the episode: the entry taken at each step is set to
+    the best value of the row after it.  There is no learning rate, since
+    on a deterministic environment each such target is exact.  For a
+    long-term filter the status state determines the terminal reward, so
+    on a deterministic environment the learned policy converges to the
+    optimum; for periodic and anytime filters contributions already banked
+    at earlier filtered times are not part of the state, so learning is
+    approximate there.
 
     Reproducible per seed; zero episodes yield the policy that always
     takes the first declared action (empty table, lexicographic ties).
@@ -222,7 +217,6 @@ def optimize_memory_q(
     check_alphabet_compatibility(scheme, env.alphabet)
     _check_learnable(scheme)
     started = time.perf_counter()
-    cap = horizon if memory_cap is None else memory_cap
     status = scheme.status
     actions = env.actions
     rng = random.Random(seed)
@@ -254,11 +248,6 @@ def optimize_memory_q(
             state, label = env.step(state, actions[ai], rng)
             states.append(env.state_id(state))
             memory = step_state(status, memory, states[-2], actions[ai], states[-1], label)
-            for total in memory[1]:
-                if total > cap:
-                    raise MemoryCapExceededError(
-                        f"status {int(total)} exceeds the memory cap {cap}"
-                    )
             acts.append(actions[ai])
             labels.append(label)
             path.append((key, ai))
@@ -271,17 +260,11 @@ def optimize_memory_q(
         bootstrap = pluralism_score(scheme, traj)
         for key, ai in reversed(path):
             row = q[key]
-            row[ai] += alpha * (bootstrap - row[ai])
+            row[ai] = bootstrap
             bootstrap = max(row)
 
     best_traj, _ = run_episode(explore=False)
-    return PolicyResult(
-        trajectory=best_traj,
-        score=pluralism_score(scheme, best_traj),
-        method="memory_q",
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - started,
-    )
+    return _result(scheme, best_traj, "memory_q", evaluations, started)
 
 
 def score_policy_average(

@@ -92,6 +92,13 @@ class MarkovTableSource:
     default: float = 0.0
     path: str = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.default):
+            raise ValueError(f"markov table default must be finite, got {self.default}")
+        for key, r in self.rewards.items():
+            if not math.isfinite(r):
+                raise ValueError(f"markov reward of {key} must be finite, got {r}")
+
     def __eq__(self, other):
         if not isinstance(other, MarkovTableSource):
             return NotImplemented

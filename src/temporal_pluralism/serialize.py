@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 import shlex
-from dataclasses import dataclass
 from pathlib import Path
 
 from .environment import (
@@ -534,74 +533,7 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment configs and results
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One optimizer run, fully pinned: inputs, method, horizon, seed."""
-
-    env_path: str
-    scheme_path: str
-    method: str
-    horizon: int
-    seed: int
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        if self.method not in ("exhaustive", "greedy", "memory_q"):
-            raise ValueError(f"unknown method '{self.method}'")
-
-
-def experiment_to_text(config: ExperimentConfig) -> str:
-    lines = [
-        "version 1",
-        f"env {config.env_path}",
-        f"scheme {config.scheme_path}",
-        f"method {config.method}",
-        f"horizon {config.horizon}",
-        f"seed {config.seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def parse_experiment_text(text: str, path: str = None) -> ExperimentConfig:
-    lines = _consume_version(_logical_lines(text, path), path)
-    fields: dict = {}
-    for lineno, tokens in lines:
-        if len(tokens) != 2 or tokens[0] not in ("env", "scheme", "method", "horizon", "seed"):
-            raise FormatError(f"unknown directive '{tokens[0]}'", lineno, path)
-        if tokens[0] in fields:
-            raise FormatError(f"duplicate '{tokens[0]}'", lineno, path)
-        fields[tokens[0]] = tokens[1]
-    for need in ("env", "scheme", "method", "horizon", "seed"):
-        if need not in fields:
-            raise FormatError(f"missing '{need}'", path=path)
-    try:
-        return ExperimentConfig(
-            env_path=fields["env"],
-            scheme_path=fields["scheme"],
-            method=fields["method"],
-            horizon=int(fields["horizon"]),
-            seed=int(fields["seed"]),
-        )
-    except ValueError as err:
-        raise FormatError(str(err), path=path)
-
-
-def load_experiment(path) -> ExperimentConfig:
-    path = Path(path)
-    config = parse_experiment_text(path.read_text(), str(path))
-    base = path.parent
-    for ref in (config.env_path, config.scheme_path):
-        if not (base / ref).exists():
-            raise FormatError(f"referenced file does not exist: {ref}", path=str(path))
-    return config
-
-
-def save_experiment(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(experiment_to_text(config))
+# optimizer results
 
 
 def write_results(result: PolicyResult, scheme: Scheme, out_dir) -> None:

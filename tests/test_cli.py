@@ -223,6 +223,38 @@ class TestOptimize:
         assert "score 5" in out
 
 
+OPTIMIZE_R3 = ("optimize", "--env", "restaurant3.env", "--scheme",
+               "restaurant3_longterm_nash.scheme", "--seed", "0", "--out", "run")
+EVALUATE_R3 = ("evaluate", "--env", "restaurant3.env", "--scheme",
+               "restaurant3_longterm_nash.scheme", "--policy", "always:italian")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        OPTIMIZE_R3 + ("--method", "exhaustive", "--horizon", "-1"),
+        OPTIMIZE_R3 + ("--method", "memory_q", "--horizon", "-1"),
+        OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "3", "--lookahead", "0"),
+        OPTIMIZE_R3 + ("--method", "memory_q", "--horizon", "3", "--episodes", "-1"),
+        OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "three"),
+        EVALUATE_R3 + ("--horizon", "-2"),
+    ],
+    ids=["exhaustive-horizon", "memory_q-horizon", "lookahead", "episodes", "not-an-integer",
+         "evaluate-horizon"],
+)
+def test_bad_numeric_arguments_are_usage_errors(
+    run_cli, fixtures_dir, tmp_path, monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PLURALISM_FIXTURE_DIR", str(fixtures_dir))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "expected an integer >=" in err
+
+
 class TestCompare:
     def test_table_layout_and_scores(self, run_cli, fixtures_dir):
         schemes = ",".join(
@@ -274,7 +306,14 @@ class TestCompare:
 
 class TestDescribe:
     @pytest.mark.parametrize(
-        "name", ["fig2.rm", "restaurant5.env", "restaurant5_nash_every10.scheme"]
+        "name",
+        [
+            "fig2.rm",
+            "restaurant5.env",
+            "restaurant5_nash_every10.scheme",
+            "opening_moves.mt",
+            "dinner.traj",
+        ],
     )
     def test_exits_clean(self, run_cli, fixtures_dir, name):
         code, out, err = run_cli("describe", str(fixtures_dir / name))
@@ -285,6 +324,33 @@ class TestDescribe:
         code, out, err = run_cli("describe", str(fixtures_dir / "fig2.rm"))
         assert "3 states" in out
         assert "6 transitions" in out
+
+    def test_markov_table_lists_its_entries(self, run_cli, fixtures_dir):
+        code, out, err = run_cli("describe", str(fixtures_dir / "opening_moves.mt"))
+        lines = out.splitlines()
+        assert lines[0].endswith("opening_moves.mt: markov reward table, 3 entries, default 0")
+        assert lines[1:] == [
+            "  v0 --italian 2--> v1",
+            "  v1 --sushi 1--> v2",
+            "  v2 --taco 0.5--> v3",
+        ]
+
+    def test_trajectory_lists_its_steps(self, run_cli, fixtures_dir):
+        code, out, err = run_cli("describe", str(fixtures_dir / "dinner.traj"))
+        lines = out.splitlines()
+        assert lines[0].endswith("dinner.traj: trajectory, horizon 3, initial state d0")
+        assert lines[1:] == [
+            "  1: pasta --> d1 {pasta}",
+            "  2: nothing --> d2 {}",
+            "  3: cake --> d3 {cake}",
+        ]
+
+    def test_unknown_suffix_fails(self, run_cli, tmp_path):
+        odd = tmp_path / "notes.txt"
+        odd.write_text("hello\n")
+        code, out, err = run_cli("describe", str(odd))
+        assert code == 1
+        assert "unknown file kind '.txt'" in err
 
 
 class TestNonFiniteNumbers:

@@ -160,6 +160,11 @@ class TestConstruction:
                 transitions=(Transition("q", g("cake"), "q", 0.0),),
             )
 
+    @pytest.mark.parametrize("reward", [float("nan"), float("inf"), float("-inf")])
+    def test_reward_must_be_finite(self, reward):
+        with pytest.raises(ValueError, match="must be finite"):
+            Transition("q", g("true"), "q", reward)
+
 
 class TestStepping:
     def test_step_from_unknown_state(self, dinner):

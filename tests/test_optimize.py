@@ -9,7 +9,6 @@ from temporal_pluralism.formula import parse_formula
 from temporal_pluralism.machine import RewardMachine, Transition
 from temporal_pluralism.optimize import (
     BudgetExceededError,
-    MemoryCapExceededError,
     UnsupportedSchemeError,
     optimize_exhaustive,
     optimize_greedy,
@@ -120,6 +119,24 @@ class TestGreedy:
         scheme = load_scheme(fixtures_dir / "greedy_trap.scheme")
         assert optimize_greedy(env, scheme, horizon=2, lookahead=2).score == 5.0
 
+    @pytest.mark.parametrize(
+        "env_name, scheme_name",
+        [
+            ("delivery2.env", "delivery2_roundly_nash.scheme"),
+            ("restaurant5.env", "restaurant5_nash_every10.scheme"),
+        ],
+    )
+    def test_unscorable_last_step_raises_the_scheme_error(
+        self, fixtures_dir, env_name, scheme_name
+    ):
+        # no 3-step sequence reaches the filter's first time, so the final
+        # scan has nothing to score and the scheme's own error surfaces
+        env = load_env(fixtures_dir / env_name)
+        scheme = load_scheme(fixtures_dir / scheme_name)
+        message = "no prefix of the horizon-3 trajectory passes the filter"
+        with pytest.raises(EmptyFilterError, match=message):
+            optimize_greedy(env, scheme, horizon=3, lookahead=2)
+
 
 class TestMemoryQ:
     def test_matches_the_oracle_on_the_distinct_instance(self):
@@ -207,16 +224,14 @@ class TestMemoryQ:
             aggregation=NASH,
             filter=LongTermFilter(),
         )
-        with pytest.raises(MemoryCapExceededError):
-            optimize_memory_q(env, scheme, horizon=4, episodes=1, seed=0)
-        # a roomier cap makes the same instance learnable
-        result = optimize_memory_q(env, scheme, horizon=4, episodes=50, seed=0, memory_cap=8)
+        # statuses above the horizon need no cap: a reward-2 machine learns 8
+        result = optimize_memory_q(env, scheme, horizon=4, episodes=50, seed=0)
         assert result.score == 8.0
 
     def test_machine_statuses_enter_the_memory(self, fixtures_dir):
         env = load_env(fixtures_dir / "greedy_trap.env")
         scheme = load_scheme(fixtures_dir / "greedy_trap.scheme")
-        result = optimize_memory_q(env, scheme, horizon=2, episodes=500, seed=1, memory_cap=6)
+        result = optimize_memory_q(env, scheme, horizon=2, episodes=500, seed=1)
         assert result.score == 5.0
 
 

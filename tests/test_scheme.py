@@ -78,6 +78,18 @@ def traj_from_labels(labels, action="go"):
 NASH = Aggregation(mode="flattened", op="product")
 
 
+class TestMarkovTableSource:
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_default_must_be_finite(self, x):
+        with pytest.raises(ValueError, match="default must be finite"):
+            MarkovTableSource(rewards={}, default=x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rewards_must_be_finite(self, x):
+        with pytest.raises(ValueError, match="must be finite"):
+            MarkovTableSource(rewards={("v0", "italian", "v1"): 1.0, ("v1", "sushi", "v2"): x})
+
+
 class TestStatusEval:
     def test_machine_source_sums_emitted_rewards(self):
         status = StatusFunction((StakeholderStatus(MachineSource(dinner_machine())),))

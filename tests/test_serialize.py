@@ -18,21 +18,17 @@ from temporal_pluralism.scheme import (
     pluralism_score,
 )
 from temporal_pluralism.serialize import (
-    ExperimentConfig,
     FormatError,
     SchemaVersionError,
     env_to_text,
-    experiment_to_text,
     format_real,
     load_env,
-    load_experiment,
     load_machine,
     load_scheme,
     load_trajectory,
     machine_to_text,
     markov_table_to_text,
     parse_env_text,
-    parse_experiment_text,
     parse_machine_text,
     parse_markov_table_text,
     parse_scheme_text,
@@ -298,42 +294,6 @@ class TestFormatReal:
     @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
     def test_always_parses_back_exactly(self, x):
         assert float(format_real(x)) == x
-
-
-class TestExperimentFormat:
-    def test_round_trip(self):
-        config = ExperimentConfig(
-            env_path="restaurant5.env",
-            scheme_path="restaurant5_longterm_nash.scheme",
-            method="exhaustive",
-            horizon=6,
-            seed=0,
-        )
-        assert parse_experiment_text(experiment_to_text(config)) == config
-
-    def test_load_checks_references(self, tmp_path):
-        (tmp_path / "run.exp").write_text(
-            "env ghost.env\nscheme ghost.scheme\nmethod greedy\nhorizon 2\nseed 0\n"
-        )
-        with pytest.raises(FormatError, match="ghost"):
-            load_experiment(tmp_path / "run.exp")
-
-    def test_load_resolves_siblings(self, tmp_path, fixtures_dir):
-        (tmp_path / "e.env").write_text((fixtures_dir / "restaurant3.env").read_text())
-        (tmp_path / "s.scheme").write_text(
-            (fixtures_dir / "restaurant3_longterm_nash.scheme").read_text()
-        )
-        (tmp_path / "run.exp").write_text(
-            "env e.env\nscheme s.scheme\nmethod exhaustive\nhorizon 3\nseed 1\n"
-        )
-        config = load_experiment(tmp_path / "run.exp")
-        assert config.horizon == 3
-
-    def test_unknown_method(self):
-        with pytest.raises(FormatError):
-            parse_experiment_text(
-                "env a.env\nscheme b.scheme\nmethod magic\nhorizon 1\nseed 0\n"
-            )
 
 
 class TestWriteResults:
