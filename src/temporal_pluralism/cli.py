@@ -323,6 +323,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _probability(text: str) -> float:
+    """argparse type: a real in [0, 1] (not nan), else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got '{text}'")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pluralism",
@@ -356,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     op.add_argument("--lookahead", type=_int_at_least(1), default=1)
     op.add_argument("--episodes", type=_int_at_least(0), default=5000)
-    op.add_argument("--epsilon", type=float, default=0.3)
+    op.add_argument("--epsilon", type=_probability, default=0.3)
     op.set_defaults(func=cmd_optimize, parser=op)
 
     cp = sub.add_parser("compare", help="score one trajectory under several schemes")

@@ -122,10 +122,9 @@ def optimize_exhaustive(
     sequence in declared action order.
     """
     check_alphabet_compatibility(scheme, env.alphabet)
-    n_candidates = len(env.actions) ** horizon
-    if n_candidates > budget:
+    if len(env.actions) ** horizon > budget:
         raise BudgetExceededError(
-            f"{len(env.actions)}^{horizon} = {n_candidates} sequences exceed the budget {budget}"
+            f"{len(env.actions)}^{horizon} sequences exceed the budget {budget}"
         )
     started = time.perf_counter()
     best, evaluations = _best_extension(env, scheme, (), horizon, seed, full=True)
@@ -214,6 +213,8 @@ def optimize_memory_q(
         raise ValueError("horizon must be >= 0")
     if episodes < 0:
         raise ValueError("episodes must be >= 0")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     check_alphabet_compatibility(scheme, env.alphabet)
     _check_learnable(scheme)
     started = time.perf_counter()
@@ -266,23 +267,3 @@ def optimize_memory_q(
     best_traj, _ = run_episode(explore=False)
     return _result(scheme, best_traj, "memory_q", evaluations, started)
 
-
-def score_policy_average(
-    env: LabelledEnv,
-    scheme: Scheme,
-    policy,
-    horizon: int,
-    n_seeds: int = 32,
-    base_seed: int = 0,
-) -> float:
-    """Sample-average score of a (possibly random) policy over a seed batch.
-
-    An estimator, not an optimum: both bundled environments are
-    deterministic, so this matters only for policies that draw on the rng.
-    """
-    from .environment import rollout
-
-    total = 0.0
-    for s in range(base_seed, base_seed + n_seeds):
-        total += pluralism_score(scheme, rollout(env, policy, horizon, seed=s))
-    return total / n_seeds

@@ -5,7 +5,8 @@ Every format is diffable text: `#` starts a comment, blank lines are
 ignored, tokens follow shell quoting rules (guards with spaces are
 quoted).  Files may start with a `version 1` header; writers always emit
 one.  Writers are canonical (fixed line order, fixed real formatting), so
-save -> load -> save reproduces a file byte for byte.
+save -> load -> save reproduces a file byte for byte.  Readers build from
+one pass, _directives, which holds the line rules all formats share.
 
 Reals are written as the shortest string that parses back to the same
 double, with integral values written as plain integers.
@@ -76,7 +77,8 @@ def format_real(x: float) -> str:
 
 
 def _logical_lines(text: str, path: str = None) -> list:
-    """[(line number, tokens)] with comments and blank lines dropped."""
+    """[(line number, tokens)] with comments, blank lines and an optional
+    `version 1` header dropped; any other version is rejected."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
@@ -85,19 +87,64 @@ def _logical_lines(text: str, path: str = None) -> list:
             raise FormatError(str(err), line=lineno, path=path)
         if tokens:
             out.append((lineno, tokens))
-    return out
-
-
-def _consume_version(lines: list, path: str = None) -> list:
-    """Strip an optional `version 1` header; reject other versions."""
-    if lines and lines[0][1][0] == "version":
-        lineno, tokens = lines[0]
+    if out and out[0][1][0] == "version":
+        lineno, tokens = out.pop(0)
         if len(tokens) != 2:
             raise FormatError("version line needs exactly one argument", lineno, path)
         if tokens[1] != "1":
             raise SchemaVersionError(f"unsupported format version '{tokens[1]}'", lineno, path)
-        return lines[1:]
-    return lines
+    return out
+
+
+def _directives(lines: list, path: str, arity: dict) -> dict:
+    """{keyword: [(line number, args)]}, each list in file order.
+
+    `arity` maps every keyword the format reads to its arguments, as in
+    `"NAME [init]"`: a bracketed word is optional, and `[NAME...]` takes
+    any number.  Any other keyword or argument count is an error naming
+    the line.  This is the only loop over directive lines; the readers
+    build from its result with _once and _indexed.
+    """
+    found = {key: [] for key in arity}
+    for lineno, tokens in lines:
+        key, args = tokens[0], tokens[1:]
+        if key not in arity:
+            raise FormatError(f"unknown directive '{key}'", lineno, path)
+        usage = arity[key]
+        words = usage.count(" ") + 1
+        most = math.inf if usage.endswith("...]") else words
+        if not words - usage.count("[") <= len(args) <= most:
+            raise FormatError(f"expected `{key} {usage}`", lineno, path)
+        found[key].append((lineno, args))
+    return found
+
+
+def _once(found: dict, key: str, path: str, default: list = None) -> tuple:
+    """(line number, args) of the one `key` line, which is required unless
+    a `default` for its args is given (the line number is then None)."""
+    entries = found.pop(key)
+    if len(entries) > 1:
+        raise FormatError(f"duplicate '{key}' line", entries[1][0], path)
+    if not entries and default is None:
+        raise FormatError(f"missing '{key}' line", path=path)
+    return entries[0] if entries else (None, default)
+
+
+def _indexed(found: dict, key: str, n: int, path: str, every: str = None) -> dict:
+    """{i: (line number, args after i)} of the `key i ...` lines: each i in
+    1..n at most once, and every i once when `every` names what i counts."""
+    out: dict = {}
+    for lineno, args in found.pop(key):
+        i = _parse_int(args[0], lineno, path)
+        if not 1 <= i <= n:
+            raise FormatError(f"'{key} {i}' is outside 1..{n}", lineno, path)
+        if i in out:
+            raise FormatError(f"duplicate '{key} {i}' line", lineno, path)
+        out[i] = (lineno, args[1:])
+    gap = every and next((i for i in range(1, n + 1) if i not in out), None)
+    if gap:
+        raise FormatError(f"no '{key}' line for {every} {gap}", path=path)
+    return out
 
 
 def _parse_real(token: str, lineno: int, path: str) -> float:
@@ -133,46 +180,29 @@ def machine_to_text(machine: RewardMachine) -> str:
 
 
 def parse_machine_text(text: str, path: str = None) -> RewardMachine:
-    lines = _consume_version(_logical_lines(text, path), path)
-    alphabet = None
-    states: list = []
-    initial = None
-    transitions: list = []
-    for lineno, tokens in lines:
-        kind = tokens[0]
-        if kind == "alphabet":
-            if alphabet is not None:
-                raise FormatError("second alphabet line", lineno, path)
-            alphabet = tuple(tokens[1:])
-        elif kind == "state":
-            if len(tokens) not in (2, 3) or (len(tokens) == 3 and tokens[2] != "init"):
-                raise FormatError("expected `state NAME` or `state NAME init`", lineno, path)
-            states.append(tokens[1])
-            if len(tokens) == 3:
-                if initial is not None:
-                    raise FormatError("second init state", lineno, path)
-                initial = tokens[1]
-        elif kind == "trans":
-            if len(tokens) != 5:
-                raise FormatError("expected `trans SRC \"GUARD\" DST REWARD`", lineno, path)
-            if alphabet is None:
-                raise FormatError("alphabet must come before transitions", lineno, path)
-            try:
-                guard = parse_formula(tokens[2], alphabet)
-            except PluralismError as err:
-                raise FormatError(f"bad guard: {err}", lineno, path)
-            reward = _parse_real(tokens[4], lineno, path)
-            transitions.append(Transition(tokens[1], guard, tokens[3], reward))
-        else:
-            raise FormatError(f"unknown directive '{kind}'", lineno, path)
-    if alphabet is None:
-        raise FormatError("missing alphabet line", path=path)
-    if initial is None:
-        raise FormatError("no init state", path=path)
+    found = _directives(_logical_lines(text, path), path, {
+        "alphabet": "[ATOM...]", "state": "NAME [init]", "trans": 'SRC "GUARD" DST REWARD'})
+    at, atoms = _once(found, "alphabet", path)
+    alphabet = tuple(atoms)
+    if found["trans"] and found["trans"][0][0] < at:
+        raise FormatError("alphabet must come before transitions", found["trans"][0][0], path)
+    bad = [lineno for lineno, args in found["state"] if args[1:] not in ([], ["init"])]
+    if bad:
+        raise FormatError("expected `state NAME` or `state NAME init`", bad[0], path)
+    initial = [(lineno, args[0]) for lineno, args in found["state"] if args[1:]]
+    if len(initial) != 1:
+        raise FormatError("need exactly one init state", initial[1][0] if initial else None, path)
+    transitions = []
+    for lineno, (src, guard, dst, reward) in found["trans"]:
+        try:
+            guard = parse_formula(guard, alphabet)
+        except PluralismError as err:
+            raise FormatError(f"bad guard: {err}", lineno, path)
+        transitions.append(Transition(src, guard, dst, _parse_real(reward, lineno, path)))
     try:
         return RewardMachine(
-            states=tuple(states),
-            initial=initial,
+            states=tuple(args[0] for _, args in found["state"]),
+            initial=initial[0][1],
             alphabet=alphabet,
             transitions=tuple(transitions),
         )
@@ -214,43 +244,29 @@ def env_to_text(env: LabelledEnv) -> str:
 
 
 def parse_env_text(text: str, path: str = None) -> LabelledEnv:
-    lines = _consume_version(_logical_lines(text, path), path)
+    lines = _logical_lines(text, path)
     if not lines or lines[0][1][0] != "env" or len(lines[0][1]) != 2:
-        raise FormatError("first line must be `env restaurant` or `env delivery_grid`", path=path)
-    kind = lines[0][1][1]
-    body = lines[1:]
+        raise FormatError("first line must be `env restaurant` or `env delivery_grid`",
+                          lines[0][0] if lines else None, path)
+    lineno, (_, kind) = lines[0]
     if kind == "restaurant":
-        return _parse_restaurant(body, path)
+        return _parse_restaurant(lines[1:], path)
     if kind == "delivery_grid":
-        return _parse_delivery(body, path)
-    raise FormatError(f"unknown env kind '{kind}'", lines[0][0], path)
+        return _parse_delivery(lines[1:], path)
+    raise FormatError(f"unknown env kind '{kind}'", lineno, path)
 
 
 def _parse_restaurant(body: list, path: str) -> RestaurantEnv:
-    n_friends = None
-    types = None
-    prefers: dict = {}
-    for lineno, tokens in body:
-        if tokens[0] == "n_friends" and len(tokens) == 2:
-            n_friends = _parse_int(tokens[1], lineno, path)
-        elif tokens[0] == "types":
-            types = tuple(tokens[1:])
-        elif tokens[0] == "prefers" and len(tokens) == 3:
-            prefers[_parse_int(tokens[1], lineno, path)] = tokens[2]
-        else:
-            raise FormatError(f"unknown directive '{tokens[0]}'", lineno, path)
-    if n_friends is None or types is None:
-        raise FormatError("restaurant env needs n_friends and types", path=path)
-    missing = [i for i in range(1, n_friends + 1) if i not in prefers]
-    if missing:
-        raise FormatError(f"no preference for friend {missing[0]}", path=path)
-    if len(prefers) != n_friends:
-        raise FormatError("preference for an unknown friend index", path=path)
+    found = _directives(body, path, {"n_friends": "N", "types": "[TYPE...]", "prefers": "I TYPE"})
+    lineno, (count,) = _once(found, "n_friends", path)
+    n_friends = _parse_int(count, lineno, path)
+    _, types = _once(found, "types", path)
+    prefers = _indexed(found, "prefers", n_friends, path, every="friend")
     try:
         config = RestaurantConfig(
             n_friends=n_friends,
-            restaurant_types=types,
-            preferred=tuple(prefers[i] for i in range(1, n_friends + 1)),
+            restaurant_types=tuple(types),
+            preferred=tuple(prefers[i][1][0] for i in range(1, n_friends + 1)),
         )
     except ValueError as err:
         raise FormatError(str(err), path=path)
@@ -258,26 +274,16 @@ def _parse_restaurant(body: list, path: str) -> RestaurantEnv:
 
 
 def _parse_delivery(body: list, path: str) -> DeliveryGridEnv:
-    grid = None
-    start = None
-    recipients: list = []
-    for lineno, tokens in body:
-        if tokens[0] == "grid" and len(tokens) == 3:
-            grid = (_parse_int(tokens[1], lineno, path), _parse_int(tokens[2], lineno, path))
-        elif tokens[0] == "start" and len(tokens) == 3:
-            start = (_parse_int(tokens[1], lineno, path), _parse_int(tokens[2], lineno, path))
-        elif tokens[0] == "recipient" and len(tokens) == 3:
-            recipients.append(
-                (_parse_int(tokens[1], lineno, path), _parse_int(tokens[2], lineno, path))
-            )
-        else:
-            raise FormatError(f"unknown directive '{tokens[0]}'", lineno, path)
-    if grid is None or start is None:
-        raise FormatError("delivery env needs grid and start", path=path)
+    found = _directives(body, path, {"grid": "W H", "start": "X Y", "recipient": "X Y"})
+
+    def pair(lineno, args):
+        return tuple(_parse_int(a, lineno, path) for a in args)
+
+    width, height = pair(*_once(found, "grid", path))
+    start = pair(*_once(found, "start", path))
     try:
-        config = DeliveryConfig(
-            width=grid[0], height=grid[1], start=start, recipients=tuple(recipients)
-        )
+        config = DeliveryConfig(width=width, height=height, start=start,
+                                recipients=tuple(pair(*entry) for entry in found["recipient"]))
     except ValueError as err:
         raise FormatError(str(err), path=path)
     return DeliveryGridEnv(config)
@@ -304,19 +310,14 @@ def markov_table_to_text(source: MarkovTableSource) -> str:
 
 
 def parse_markov_table_text(text: str, path: str = None) -> MarkovTableSource:
-    lines = _consume_version(_logical_lines(text, path), path)
-    default = 0.0
+    found = _directives(_logical_lines(text, path), path, {"default": "R", "reward": "S A S2 R"})
+    lineno, (token,) = _once(found, "default", path, ["0"])
+    default = _parse_real(token, lineno, path)
     rewards: dict = {}
-    for lineno, tokens in lines:
-        if tokens[0] == "default" and len(tokens) == 2:
-            default = _parse_real(tokens[1], lineno, path)
-        elif tokens[0] == "reward" and len(tokens) == 5:
-            key = (tokens[1], tokens[2], tokens[3])
-            if key in rewards:
-                raise FormatError(f"duplicate reward entry for {key}", lineno, path)
-            rewards[key] = _parse_real(tokens[4], lineno, path)
-        else:
-            raise FormatError(f"unknown directive '{tokens[0]}'", lineno, path)
+    for lineno, (s, a, s2, r) in found["reward"]:
+        if (s, a, s2) in rewards:
+            raise FormatError(f"duplicate reward entry for {(s, a, s2)}", lineno, path)
+        rewards[(s, a, s2)] = _parse_real(r, lineno, path)
     return MarkovTableSource(rewards=rewards, default=default)
 
 
@@ -378,112 +379,94 @@ def scheme_to_text(scheme: Scheme) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SCHEME_ARITY = {
+    "n": "K", "source": "I KIND ARG", "accumulation": "I KIND", "gamma": "I G",
+    "aggregation.mode": "MODE", "aggregation.op": "OP", "aggregation.inner_op": "OP",
+    "aggregation.outer_op": "OP", "filter.kind": "KIND", "filter.p": "P",
+    "filter.atom": "ATOM", "filter.k": "K", "empty_filter": "POLICY",
+}
+
+
 def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
     """Build a scheme, loading referenced machine/markov files.
 
     Relative references resolve against base_dir (the scheme file's own
-    directory when loaded via load_scheme).
+    directory when loaded via load_scheme).  A line the scheme would not
+    read (a `gamma` of an undiscounted stakeholder, a field of another
+    aggregation mode or filter kind) is an error, not silently dropped.
     """
     base = Path(base_dir) if base_dir is not None else Path(".")
-    lines = _consume_version(_logical_lines(text, path), path)
-    n = None
-    sources: dict = {}
-    accumulations: dict = {}
-    gammas: dict = {}
-    fields: dict = {}
-    for lineno, tokens in lines:
-        key = tokens[0]
-        if key == "n" and len(tokens) == 2:
-            n = _parse_int(tokens[1], lineno, path)
-        elif key == "source" and len(tokens) == 4:
-            i = _parse_int(tokens[1], lineno, path)
-            if i in sources:
-                raise FormatError(f"second source for stakeholder {i}", lineno, path)
-            kind, arg = tokens[2], tokens[3]
+    found = _directives(_logical_lines(text, path), path, _SCHEME_ARITY)
+
+    def field(key, default=None):
+        return _once(found, key, path, [default])[1][0]
+
+    def integer(key):
+        lineno, (token,) = _once(found, key, path)
+        return _parse_int(token, lineno, path)
+
+    n = integer("n")
+    sources = _indexed(found, "source", n, path, every="stakeholder")
+    accumulations = _indexed(found, "accumulation", n, path)
+    gammas = _indexed(found, "gamma", n, path)
+    try:
+        stakeholders = []
+        for i in range(1, n + 1):
+            lineno, (kind, arg) = sources[i]
             if kind == "count":
-                sources[i] = AtomCountSource(arg)
+                source = AtomCountSource(arg)
             elif kind == "machine":
-                machine = load_machine(base / arg)
-                sources[i] = MachineSource(machine=machine, path=arg)
+                source = MachineSource(machine=load_machine(base / arg), path=arg)
             elif kind == "markov":
                 table = load_markov_table(base / arg)
-                sources[i] = MarkovTableSource(
-                    rewards=table.rewards, default=table.default, path=arg
-                )
+                source = MarkovTableSource(rewards=table.rewards, default=table.default, path=arg)
             else:
                 raise FormatError(f"unknown source kind '{kind}'", lineno, path)
-        elif key == "accumulation" and len(tokens) == 3:
-            accumulations[_parse_int(tokens[1], lineno, path)] = tokens[2]
-        elif key == "gamma" and len(tokens) == 3:
-            gammas[_parse_int(tokens[1], lineno, path)] = _parse_real(tokens[2], lineno, path)
-        elif len(tokens) == 2 and key in (
-            "aggregation.mode",
-            "aggregation.op",
-            "aggregation.inner_op",
-            "aggregation.outer_op",
-            "filter.kind",
-            "filter.p",
-            "filter.atom",
-            "filter.k",
-            "empty_filter",
-        ):
-            if key in fields:
-                raise FormatError(f"duplicate '{key}'", lineno, path)
-            fields[key] = tokens[1]
-        else:
-            raise FormatError(f"unknown directive '{key}'", lineno, path)
-    if n is None:
-        raise FormatError("missing stakeholder count `n`", path=path)
-    missing = [i for i in range(1, n + 1) if i not in sources]
-    if missing:
-        raise FormatError(f"no source for stakeholder {missing[0]}", path=path)
-    if len(sources) != n:
-        raise FormatError("source for an out-of-range stakeholder index", path=path)
-    try:
-        stakeholders = tuple(
-            StakeholderStatus(
-                source=sources[i],
-                accumulation=accumulations.get(i, "sum"),
-                gamma=gammas.get(i, 1.0),
+            lineno, (accumulation,) = accumulations.get(i, (None, ["sum"]))
+            if accumulation == "discounted" and i not in gammas:
+                raise FormatError(f"stakeholder {i} is discounted but has no 'gamma {i}'",
+                                  lineno, path)
+            if accumulation != "discounted" and i in gammas:
+                raise FormatError(f"'gamma {i}' is never read: stakeholder {i} is not discounted",
+                                  gammas[i][0], path)
+            lineno, (gamma,) = gammas.get(i, (None, ["1"]))
+            stakeholders.append(
+                StakeholderStatus(source, accumulation, _parse_real(gamma, lineno, path))
             )
-            for i in range(1, n + 1)
-        )
-        status = StatusFunction(stakeholders)
-        mode = fields.get("aggregation.mode", "flattened")
+        mode = field("aggregation.mode", "flattened")
         if mode == "flattened":
-            aggregation = Aggregation(mode=mode, op=fields.get("aggregation.op"))
+            aggregation = Aggregation(mode=mode, op=field("aggregation.op"))
         else:
             aggregation = Aggregation(
                 mode=mode,
-                inner_op=fields.get("aggregation.inner_op"),
-                outer_op=fields.get("aggregation.outer_op"),
+                inner_op=field("aggregation.inner_op"),
+                outer_op=field("aggregation.outer_op"),
             )
-        filt = _parse_filter_fields(fields, path)
-        return Scheme(
-            status=status,
+        lineno, (kind,) = _once(found, "filter.kind", path, [None])
+        if kind == "long_term":
+            filt = LongTermFilter()
+        elif kind == "anytime":
+            filt = AnytimeFilter()
+        elif kind == "periodic":
+            filt = PeriodicFilter(integer("filter.p"))
+        elif kind == "event_count":
+            filt = EventCountFilter(_once(found, "filter.atom", path)[1][0], integer("filter.k"))
+        else:
+            raise FormatError(f"missing or unknown filter.kind '{kind}'", lineno, path)
+        scheme = Scheme(
+            status=StatusFunction(stakeholders),
             aggregation=aggregation,
             filter=filt,
-            empty_filter=fields.get("empty_filter", "error"),
+            empty_filter=field("empty_filter", "error"),
         )
     except ValueError as err:
         raise FormatError(str(err), path=path)
-
-
-def _parse_filter_fields(fields: dict, path: str):
-    kind = fields.get("filter.kind")
-    if kind == "long_term":
-        return LongTermFilter()
-    if kind == "anytime":
-        return AnytimeFilter()
-    if kind == "periodic":
-        if "filter.p" not in fields:
-            raise FormatError("periodic filter needs filter.p", path=path)
-        return PeriodicFilter(int(fields["filter.p"]))
-    if kind == "event_count":
-        if "filter.atom" not in fields or "filter.k" not in fields:
-            raise FormatError("event_count filter needs filter.atom and filter.k", path=path)
-        return EventCountFilter(fields["filter.atom"], int(fields["filter.k"]))
-    raise FormatError(f"missing or unknown filter.kind '{kind}'", path=path)
+    unread = [(entries[0][0], key) for key, entries in found.items() if entries]
+    if unread:
+        lineno, key = min(unread)
+        raise FormatError(f"'{key}' is not read under this aggregation.mode and filter.kind",
+                          lineno, path)
+    return scheme
 
 
 def load_scheme(path) -> Scheme:
@@ -508,19 +491,17 @@ def trajectory_to_text(traj: Trajectory) -> str:
 
 
 def parse_trajectory_text(text: str, path: str = None) -> Trajectory:
-    lines = _consume_version(_logical_lines(text, path), path)
+    lines = _logical_lines(text, path)
     if not lines or lines[0][1][0] != "init" or len(lines[0][1]) != 2:
-        raise FormatError("first line must be `init STATE`", path=path)
-    states = [lines[0][1][1]]
-    actions: list = []
-    labels: list = []
-    for lineno, tokens in lines[1:]:
-        if tokens[0] != "step" or len(tokens) != 4:
-            raise FormatError("expected `step ACTION STATE ATOMS`", lineno, path)
-        actions.append(tokens[1])
-        states.append(tokens[2])
-        labels.append(frozenset() if tokens[3] == "-" else frozenset(tokens[3].split(",")))
-    return Trajectory(states=tuple(states), actions=tuple(actions), labels=tuple(labels))
+        raise FormatError("first line must be `init STATE`", lines[0][0] if lines else None, path)
+    found = _directives(lines[1:], path, {"step": "ACTION STATE ATOMS"})
+    steps = [args for _, args in found["step"]]
+    return Trajectory(
+        states=(lines[0][1][1],) + tuple(state for _, state, _ in steps),
+        actions=tuple(action for action, _, _ in steps),
+        labels=tuple(frozenset() if atoms == "-" else frozenset(atoms.split(","))
+                     for _, _, atoms in steps),
+    )
 
 
 def load_trajectory(path) -> Trajectory:

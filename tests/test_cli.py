@@ -2,11 +2,21 @@
 files written.  Everything runs in-process through main() so coverage and
 tracebacks behave."""
 
+import contextlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temporal_pluralism.cli import main
 from temporal_pluralism.scheme import pluralism_score
 from temporal_pluralism.serialize import format_real, load_scheme, load_trajectory
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestValidate:
@@ -44,6 +54,15 @@ class TestValidate:
         assert code == 1
         assert "INVALID" in out
         assert "fig2.rm: ok" in out
+
+    def test_a_line_the_scheme_never_reads_is_invalid(self, run_cli, fixtures_dir, tmp_path):
+        bad = tmp_path / "stray_gamma.scheme"
+        text = (fixtures_dir / "restaurant3_longterm_nash.scheme").read_text()
+        bad.write_text(text.replace("accumulation 3 sum\n", "accumulation 3 sum\ngamma 1 0.5\n"))
+        code, out, err = run_cli("validate", str(bad))
+        assert code == 1
+        assert f"{bad}: INVALID" in out
+        assert f"{bad}:9: 'gamma 1' is never read" in out
 
     def test_missing_file(self, run_cli, tmp_path):
         code, out, err = run_cli("validate", str(tmp_path / "nowhere.rm"))
@@ -208,6 +227,20 @@ class TestOptimize:
         assert code == 1
         assert "error:" in err
 
+    def test_budget_message_does_not_expand_the_count(self, run_cli, fixtures_dir, tmp_path):
+        code, out, err = run_cli(
+            "optimize",
+            "--env", str(fixtures_dir / "restaurant5.env"),
+            "--scheme", str(fixtures_dir / "restaurant5_longterm_nash.scheme"),
+            "--method", "exhaustive",
+            "--horizon", "10000",
+            "--seed", "0",
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 1
+        assert "error: 5^10000 sequences exceed the budget" in err
+        assert "Traceback" not in err
+
     def test_greedy_with_lookahead(self, run_cli, fixtures_dir, tmp_path):
         code, out, err = run_cli(
             "optimize",
@@ -253,6 +286,20 @@ def test_bad_numeric_arguments_are_usage_errors(
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "expected an integer >=" in err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "-0.1", "1.5"])
+def test_epsilon_outside_the_unit_interval_is_a_usage_error(
+    run_cli, fixtures_dir, tmp_path, monkeypatch, capsys, epsilon
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PLURALISM_FIXTURE_DIR", str(fixtures_dir))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*OPTIMIZE_R3, "--method", "memory_q", "--horizon", "3", "--epsilon", epsilon)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"expected a number in [0, 1], got '{epsilon}'" in err
 
 
 class TestCompare:
@@ -413,3 +460,80 @@ class TestFixtureDirFallback:
 
 def test_main_returns_not_raises_on_domain_errors(tmp_path):
     assert main(["validate", str(tmp_path / "ghost.rm")]) == 1
+
+
+# (env, scheme, trajectory, files the scheme references); every fixture is in one
+FUZZ_GROUPS = (
+    ("restaurant5.env", "restaurant5_longterm_nash.scheme", "restaurant5_sample.traj"),
+    ("restaurant5.env", "restaurant5_anytime_nash.scheme", "restaurant5_sample.traj"),
+    ("restaurant5.env", "restaurant5_nash_every10.scheme", "restaurant5_sample.traj"),
+    ("restaurant5.env", "restaurant5_periodic2_nash.scheme", "restaurant5_sample.traj"),
+    ("restaurant3.env", "restaurant3_longterm_nash.scheme", "restaurant5_sample.traj"),
+    ("restaurant3.env", "restaurant3_mixed.scheme", "restaurant5_sample.traj",
+     "opening_moves.mt"),
+    ("restaurant2.env", "restaurant2_anytime_nash.scheme", "dinner.traj"),
+    ("greedy_trap.env", "greedy_trap.scheme", "dinner.traj", "greedy_trap.rm"),
+    ("restaurant2.env", "dinner_machine.scheme", "dinner.traj", "fig2.rm"),
+    ("delivery2.env", "delivery2_roundly_nash.scheme", "restaurant5_sample.traj"),
+)
+FUZZ_TOKENS = ("0", "-1", "nan", "inf", "x", '"', "#", "-", "1.5", "9", "init", "a,b")
+
+
+@st.composite
+def mutated_lines(draw, lines):
+    """Fixture lines with 1-3 lines duplicated, dropped, shuffled or re-tokened."""
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("duplicate", "drop", "shuffle", "token")))
+        if op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "drop":
+            del lines[i]
+        elif op == "shuffle":
+            lines = draw(st.permutations(lines))
+        else:
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+    return lines
+
+
+def _exit_code(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+# Derandomized so that tier-1 runs the same examples every time.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_fixtures_exit_cleanly(data):
+    """Any mutation of a fixture gives exit 0, 1 or 2 and never a traceback."""
+    env, scheme, traj, *refs = group = data.draw(st.sampled_from(FUZZ_GROUPS))
+    victim = data.draw(st.sampled_from(group))
+    lines = (FIXTURES / victim).read_text().splitlines()
+    text = "\n".join(data.draw(mutated_lines(lines))) + "\n"
+    horizon = str(data.draw(st.integers(0, 3)))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in group:
+            shutil.copy(FIXTURES / name, work)
+        (work / victim).write_text(text)
+        env, scheme, traj, victim = (str(work / n) for n in (env, scheme, traj, victim))
+        runs = [["validate", victim], ["describe", victim],
+                ["evaluate", "--scheme", scheme, "--traj", traj]]
+        for method in ("exhaustive", "greedy", "memory_q"):
+            runs.append(["optimize", "--env", env, "--scheme", scheme, "--method", method,
+                         "--horizon", horizon, "--seed", "0", "--out", str(work / "out"),
+                         "--lookahead", str(data.draw(st.integers(1, 3))),
+                         "--episodes", str(data.draw(st.integers(0, 20)))])
+        for argv in runs:
+            code, err = _exit_code(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv

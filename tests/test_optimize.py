@@ -13,7 +13,6 @@ from temporal_pluralism.optimize import (
     optimize_exhaustive,
     optimize_greedy,
     optimize_memory_q,
-    score_policy_average,
 )
 from temporal_pluralism.scheme import (
     Aggregation,
@@ -151,6 +150,12 @@ class TestMemoryQ:
         assert a.trajectory == b.trajectory
         assert a.score == b.score
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), -0.1, 1.5])
+    def test_epsilon_must_be_a_probability(self, epsilon):
+        env, scheme = distinct_env(2), count_scheme(2)
+        with pytest.raises(ValueError, match="epsilon"):
+            optimize_memory_q(env, scheme, horizon=2, episodes=1, epsilon=epsilon)
+
     def test_zero_episodes_take_the_first_action_forever(self):
         env, scheme = distinct_env(2), count_scheme(2)
         result = optimize_memory_q(env, scheme, horizon=3, episodes=0, seed=0)
@@ -269,35 +274,6 @@ def test_full_lookahead_matches_exhaustive_everywhere(horizon, seed):
     oracle = optimize_exhaustive(env, scheme, horizon)
     full = optimize_greedy(env, scheme, horizon, lookahead=horizon)
     assert full.trajectory == oracle.trajectory
-
-
-def test_score_policy_average_deterministic_policy():
-    env, scheme = distinct_env(2), count_scheme(2)
-
-    def alternate(state, t, rng):
-        return ("italian", "sushi")[(t - 1) % 2]
-
-    avg = score_policy_average(env, scheme, alternate, horizon=4, n_seeds=8)
-    from temporal_pluralism.environment import rollout
-
-    single = pluralism_score(scheme, rollout(env, alternate, 4, seed=0))
-    assert avg == single
-
-
-def test_score_policy_average_random_policy():
-    from temporal_pluralism.environment import random_policy
-
-    env, scheme = distinct_env(2), count_scheme(2)
-    policy = random_policy(env.actions)
-    first = score_policy_average(env, scheme, policy, horizon=4, n_seeds=32)
-    again = score_policy_average(env, scheme, policy, horizon=4, n_seeds=32)
-    assert first == again  # fixed seed batch, reproducible estimate
-    oracle = optimize_exhaustive(env, scheme, horizon=4).score
-    assert 0.0 <= first <= oracle
-    shifted = score_policy_average(
-        env, scheme, policy, horizon=4, n_seeds=32, base_seed=1000
-    )
-    assert shifted != first  # a different batch actually resamples
 
 
 def test_wall_time_is_positive():

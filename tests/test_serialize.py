@@ -240,6 +240,46 @@ class TestSchemeFormat:
             parse_scheme_text(text)
 
 
+TWO = "n 2\nsource 1 count a\nsource 2 count b\naggregation.op product\nfilter.kind long_term\n"
+ONE = "n 1\nsource 1 count a\naggregation.op product\n"
+NESTED = (
+    "n 1\nsource 1 count a\naggregation.mode time_then_stakeholders\n"
+    "aggregation.inner_op min\naggregation.outer_op sum\n"
+)
+RESTAURANT = "env restaurant\nn_friends 1\ntypes a b\nprefers 1 a\n"
+DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
+
+
+@pytest.mark.parametrize(
+    "parse,text,line",
+    [
+        (parse_scheme_text, TWO + "gamma 1 0.5\n", 6),
+        (parse_scheme_text, TWO + "accumulation 1 discounted\n", 6),
+        (parse_scheme_text, TWO + "accumulation 9 sum\n", 6),
+        (parse_scheme_text, TWO + "accumulation 1 sum\naccumulation 1 mean\n", 7),
+        (parse_scheme_text, ONE + "filter.kind periodic\nfilter.p x\n", 5),
+        (parse_scheme_text, TWO + "filter.p 3\n", 6),
+        (parse_scheme_text, NESTED + "aggregation.op product\nfilter.kind long_term\n", 6),
+        (parse_scheme_text, ONE + "filter.kind periodic\nfilter.p 2\nfilter.atom a\n", 6),
+        (parse_env_text, RESTAURANT + "prefers 1 b\n", 5),
+        (parse_env_text, RESTAURANT + "n_friends 1\n", 5),
+        (parse_env_text, RESTAURANT + "types a b\n", 5),
+        (parse_env_text, DELIVERY + "grid 3 1\n", 5),
+        (parse_markov_table_text, "default 0\nreward s a t 1\ndefault 1\n", 3),
+    ],
+    ids=[
+        "gamma-on-sum", "discounted-without-gamma", "index-out-of-range",
+        "accumulation-twice", "non-integer-period", "period-under-long-term",
+        "op-beside-nested-mode", "atom-under-periodic", "prefers-twice",
+        "n_friends-twice", "types-twice", "grid-twice", "default-twice",
+    ],
+)
+def test_reader_rejects_the_line(parse, text, line):
+    """Each input breaks one directive rule; the error names the file and the line."""
+    with pytest.raises(FormatError, match=rf"^in\.txt:{line}: "):
+        parse(text, "in.txt")
+
+
 class TestTrajectoryFormat:
     def test_bundled_sample(self, fixtures_dir):
         t = load_trajectory(fixtures_dir / "restaurant5_sample.traj")
