@@ -46,9 +46,13 @@ def main() -> None:
     print()
     print("exhaustive:")
     start = time.perf_counter()
-    best = optimize_exhaustive(env, scheme, args.horizon)
-    print(f"  ({time.perf_counter() - start:.2f} s)")
-    show(best, scheme)
+    try:
+        best = optimize_exhaustive(env, scheme, args.horizon)
+    except EmptyFilterError as err:
+        print(f"  no route completes a round: {err}")
+    else:
+        print(f"  ({time.perf_counter() - start:.2f} s)")
+        show(best, scheme)
 
     for depth in sorted({1, args.horizon // 2, args.horizon - 1} - {0}):
         print()

@@ -24,6 +24,7 @@ from temporal_pluralism.optimize import (
     optimize_greedy,
     optimize_memory_q,
 )
+from temporal_pluralism.scheme import EmptyFilterError
 from temporal_pluralism.serialize import format_real, load_env, load_scheme
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -74,7 +75,11 @@ def run(config: RunConfig) -> None:
         )
         for name, go in runs:
             start = time.perf_counter()
-            result = go()
+            try:
+                result = go()
+            except EmptyFilterError as err:
+                print(f"{label:<12} {name:<12} unscorable: {err}")
+                continue
             secs = time.perf_counter() - start
             print(
                 f"{label:<12} {name:<12} {format_real(result.score):>10} "

@@ -41,8 +41,10 @@ class NoEnabledTransitionError(PluralismError):
 class MachineValidationError(PluralismError):
     """Raised by require_valid when a machine fails the determinism/totality check."""
 
-    def __init__(self, report: "MachineValidation"):
-        super().__init__(report.describe())
+    def __init__(self, report: "MachineValidation", path: str = None):
+        where = "" if path is None else f"{path}: "
+        problems = "".join(f"\n  {p.describe()}" for p in report.problems)
+        super().__init__(f"{where}not a valid machine{problems}")
         self.report = report
 
 
@@ -157,10 +159,11 @@ def validate_machine(machine: RewardMachine) -> MachineValidation:
     return MachineValidation(ok=not problems, problems=tuple(problems))
 
 
-def require_valid(machine: RewardMachine) -> RewardMachine:
+def require_valid(machine: RewardMachine, path: str = None) -> RewardMachine:
+    """The machine, or a MachineValidationError naming `path` and each problem."""
     report = validate_machine(machine)
     if not report.ok:
-        raise MachineValidationError(report)
+        raise MachineValidationError(report, path)
     return machine
 
 

@@ -11,9 +11,9 @@ d-step extensions.  Both run the one scan _best_extension, from
 different prefixes to different depths.  optimize_memory_q learns a
 tabular policy over the environment state augmented with the scheme's
 status state (see scheme.step_state), with the whole-trajectory score
-granted as a terminal reward.  Its table needs no cap: it gains at most
-one key per step of each episode, and the integer statuses it keys on
-are bounded by the largest reward times the horizon.
+granted as a terminal reward.  It takes every scheme the scorer scores,
+and its table needs no cap: it gains at most one key per step of each
+episode.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from dataclasses import dataclass
 from .environment import LabelledEnv, Trajectory, replay
 from .errors import PluralismError
 from .scheme import (
-    AtomCountSource,
     EmptyFilterError,
-    EventCountFilter,
-    MachineSource,
     Scheme,
     aggregate,
     check_alphabet_compatibility,
@@ -42,10 +39,6 @@ from .scheme import (
 
 class BudgetExceededError(PluralismError):
     """The instance has more action sequences than the enumeration budget."""
-
-
-class UnsupportedSchemeError(PluralismError):
-    """The learner only handles integer-status schemes with time-based filters."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +100,13 @@ def _best_extension(
     return best_ext, evaluations
 
 
+def _exceeds(k: int, horizon: int, budget: int) -> bool:
+    """k**horizon > budget, without building k**horizon when it is huge."""
+    if k > 1 and horizon > budget.bit_length():
+        return True  # k**horizon >= 2**horizon > budget
+    return k**horizon > budget
+
+
 def optimize_exhaustive(
     env: LabelledEnv,
     scheme: Scheme,
@@ -122,7 +122,7 @@ def optimize_exhaustive(
     sequence in declared action order.
     """
     check_alphabet_compatibility(scheme, env.alphabet)
-    if len(env.actions) ** horizon > budget:
+    if _exceeds(len(env.actions), horizon, budget):
         raise BudgetExceededError(
             f"{len(env.actions)}^{horizon} sequences exceed the budget {budget}"
         )
@@ -161,29 +161,6 @@ def optimize_greedy(
     return _result(scheme, replay(env, chosen, seed), "greedy", evaluations, started)
 
 
-def _check_learnable(scheme: Scheme) -> None:
-    for i, sk in enumerate(scheme.status.stakeholders, start=1):
-        if sk.accumulation != "sum":
-            raise UnsupportedSchemeError(
-                f"stakeholder {i}: the learner needs sum accumulation, not {sk.accumulation}"
-            )
-        if isinstance(sk.source, AtomCountSource):
-            continue
-        if isinstance(sk.source, MachineSource):
-            if all(t.reward == int(t.reward) for t in sk.source.machine.transitions):
-                continue
-            raise UnsupportedSchemeError(
-                f"stakeholder {i}: machine emits non-integer rewards"
-            )
-        raise UnsupportedSchemeError(
-            f"stakeholder {i}: the learner needs atom-count or machine sources"
-        )
-    if isinstance(scheme.filter, EventCountFilter):
-        raise UnsupportedSchemeError(
-            "the learner needs a long-term, periodic, or anytime filter"
-        )
-
-
 def optimize_memory_q(
     env: LabelledEnv,
     scheme: Scheme,
@@ -194,17 +171,18 @@ def optimize_memory_q(
 ) -> PolicyResult:
     """Episodic tabular Q-learning over (env state, status state).
 
-    The status state (scheme.step_state) holds the step index, each
-    stakeholder's integer status and each machine's state.  The
-    whole-trajectory score arrives as a terminal reward and is swept
-    backwards through the episode: the entry taken at each step is set to
-    the best value of the row after it.  There is no learning rate, since
-    on a deterministic environment each such target is exact.  For a
-    long-term filter the status state determines the terminal reward, so
-    on a deterministic environment the learned policy converges to the
-    optimum; for periodic and anytime filters contributions already banked
-    at earlier filtered times are not part of the state, so learning is
-    approximate there.
+    The status state (scheme.step_state) holds all the scorer steps: the
+    step index, each stakeholder's running status and discount weight, and
+    each machine's state.  The whole-trajectory score arrives as a
+    terminal reward and is swept backwards through the episode: the entry
+    taken at each step is set to the best value of the row after it (no
+    learning rate: on a deterministic environment each target is exact).
+    Under a long-term filter the status state determines the reward, so on
+    a deterministic environment the policy converges to the optimum for
+    every source and accumulation.  Periodic, anytime and event-count
+    filters bank contributions (and events) the state does not hold, so
+    there learning is best-effort.  An episode whose filter passes no time
+    updates nothing.
 
     Reproducible per seed; zero episodes yield the policy that always
     takes the first declared action (empty table, lexicographic ties).
@@ -216,20 +194,12 @@ def optimize_memory_q(
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     check_alphabet_compatibility(scheme, env.alphabet)
-    _check_learnable(scheme)
     started = time.perf_counter()
     status = scheme.status
     actions = env.actions
     rng = random.Random(seed)
     q: dict = {}
     evaluations = 0
-
-    def greedy_index(row) -> int:
-        best = 0
-        for i in range(1, len(row)):
-            if row[i] > row[best]:
-                best = i
-        return best
 
     def run_episode(explore: bool):
         nonlocal evaluations
@@ -245,7 +215,7 @@ def optimize_memory_q(
             if explore and rng.random() < epsilon:
                 ai = rng.randrange(len(actions))
             else:
-                ai = greedy_index(row)
+                ai = row.index(max(row))
             state, label = env.step(state, actions[ai], rng)
             states.append(env.state_id(state))
             memory = step_state(status, memory, states[-2], actions[ai], states[-1], label)
@@ -258,7 +228,10 @@ def optimize_memory_q(
 
     for _ in range(episodes):
         traj, path = run_episode(explore=True)
-        bootstrap = pluralism_score(scheme, traj)
+        try:
+            bootstrap = pluralism_score(scheme, traj)
+        except EmptyFilterError:
+            continue
         for key, ai in reversed(path):
             row = q[key]
             row[ai] = bootstrap

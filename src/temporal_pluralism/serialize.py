@@ -70,9 +70,13 @@ class SchemaVersionError(FormatError):
 
 
 def format_real(x: float) -> str:
-    """Shortest exact decimal; integral doubles print as plain integers."""
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
+    """Shortest exact decimal; integral doubles print as plain integers,
+    and inf and nan (a score can overflow) as `inf` and `nan`."""
+    try:
+        if x == int(x) and abs(x) < 1e16:
+            return str(int(x))
+    except (OverflowError, ValueError):
+        pass
     return repr(x)
 
 
@@ -147,6 +151,14 @@ def _indexed(found: dict, key: str, n: int, path: str, every: str = None) -> dic
     return out
 
 
+def _at(lineno: int, path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError it raises reported at `lineno`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise FormatError(str(err), lineno, path)
+
+
 def _parse_real(token: str, lineno: int, path: str) -> float:
     try:
         value = float(token)
@@ -211,10 +223,10 @@ def parse_machine_text(text: str, path: str = None) -> RewardMachine:
 
 
 def load_machine(path) -> RewardMachine:
-    """Parse and validate; invalid machines raise with the offending state named."""
+    """Parse and validate; an invalid machine raises `PATH: not a valid
+    machine` followed by one problem per line."""
     path = Path(path)
-    machine = parse_machine_text(path.read_text(), str(path))
-    return require_valid(machine)
+    return require_valid(parse_machine_text(path.read_text(), str(path)), str(path))
 
 
 def save_machine(machine: RewardMachine, path) -> None:
@@ -262,15 +274,11 @@ def _parse_restaurant(body: list, path: str) -> RestaurantEnv:
     n_friends = _parse_int(count, lineno, path)
     _, types = _once(found, "types", path)
     prefers = _indexed(found, "prefers", n_friends, path, every="friend")
-    try:
-        config = RestaurantConfig(
-            n_friends=n_friends,
-            restaurant_types=tuple(types),
-            preferred=tuple(prefers[i][1][0] for i in range(1, n_friends + 1)),
-        )
-    except ValueError as err:
-        raise FormatError(str(err), path=path)
-    return RestaurantEnv(config)
+    for lineno, (pref,) in prefers.values():  # per line, so the error names it
+        if pref not in types:
+            raise FormatError(f"preferred type '{pref}' not offered", lineno, path)
+    preferred = tuple(prefers[i][1][0] for i in range(1, n_friends + 1))
+    return RestaurantEnv(_at(None, path, RestaurantConfig, n_friends, tuple(types), preferred))
 
 
 def _parse_delivery(body: list, path: str) -> DeliveryGridEnv:
@@ -281,12 +289,12 @@ def _parse_delivery(body: list, path: str) -> DeliveryGridEnv:
 
     width, height = pair(*_once(found, "grid", path))
     start = pair(*_once(found, "start", path))
-    try:
-        config = DeliveryConfig(width=width, height=height, start=start,
-                                recipients=tuple(pair(*entry) for entry in found["recipient"]))
-    except ValueError as err:
-        raise FormatError(str(err), path=path)
-    return DeliveryGridEnv(config)
+    recipients = tuple(pair(*entry) for entry in found["recipient"])
+    # Per line, as for `prefers`; a grid without cells is DeliveryConfig's to report.
+    for (lineno, _), (x, y) in zip(found["recipient"], recipients):
+        if width >= 1 and height >= 1 and not (0 <= x < width and 0 <= y < height):
+            raise FormatError(f"recipient cell {(x, y)} outside the grid", lineno, path)
+    return DeliveryGridEnv(_at(None, path, DeliveryConfig, width, height, start, recipients))
 
 
 def load_env(path) -> LabelledEnv:
@@ -399,68 +407,67 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
     found = _directives(_logical_lines(text, path), path, _SCHEME_ARITY)
 
     def field(key, default=None):
-        return _once(found, key, path, [default])[1][0]
+        lineno, (value,) = _once(found, key, path, [default])
+        return lineno, value
 
     def integer(key):
         lineno, (token,) = _once(found, key, path)
-        return _parse_int(token, lineno, path)
+        return lineno, _parse_int(token, lineno, path)
 
-    n = integer("n")
+    n_line, n = integer("n")
     sources = _indexed(found, "source", n, path, every="stakeholder")
     accumulations = _indexed(found, "accumulation", n, path)
     gammas = _indexed(found, "gamma", n, path)
-    try:
-        stakeholders = []
-        for i in range(1, n + 1):
-            lineno, (kind, arg) = sources[i]
-            if kind == "count":
-                source = AtomCountSource(arg)
-            elif kind == "machine":
-                source = MachineSource(machine=load_machine(base / arg), path=arg)
-            elif kind == "markov":
-                table = load_markov_table(base / arg)
-                source = MarkovTableSource(rewards=table.rewards, default=table.default, path=arg)
-            else:
-                raise FormatError(f"unknown source kind '{kind}'", lineno, path)
-            lineno, (accumulation,) = accumulations.get(i, (None, ["sum"]))
-            if accumulation == "discounted" and i not in gammas:
-                raise FormatError(f"stakeholder {i} is discounted but has no 'gamma {i}'",
-                                  lineno, path)
-            if accumulation != "discounted" and i in gammas:
-                raise FormatError(f"'gamma {i}' is never read: stakeholder {i} is not discounted",
-                                  gammas[i][0], path)
-            lineno, (gamma,) = gammas.get(i, (None, ["1"]))
-            stakeholders.append(
-                StakeholderStatus(source, accumulation, _parse_real(gamma, lineno, path))
-            )
-        mode = field("aggregation.mode", "flattened")
-        if mode == "flattened":
-            aggregation = Aggregation(mode=mode, op=field("aggregation.op"))
+    stakeholders = []
+    for i in range(1, n + 1):
+        lineno, (kind, arg) = sources[i]
+        if kind == "count":
+            source = AtomCountSource(arg)
+        elif kind == "machine":
+            source = MachineSource(machine=load_machine(base / arg), path=arg)
+        elif kind == "markov":
+            table = load_markov_table(base / arg)
+            source = MarkovTableSource(rewards=table.rewards, default=table.default, path=arg)
         else:
-            aggregation = Aggregation(
-                mode=mode,
-                inner_op=field("aggregation.inner_op"),
-                outer_op=field("aggregation.outer_op"),
-            )
-        lineno, (kind,) = _once(found, "filter.kind", path, [None])
-        if kind == "long_term":
-            filt = LongTermFilter()
-        elif kind == "anytime":
-            filt = AnytimeFilter()
-        elif kind == "periodic":
-            filt = PeriodicFilter(integer("filter.p"))
-        elif kind == "event_count":
-            filt = EventCountFilter(_once(found, "filter.atom", path)[1][0], integer("filter.k"))
-        else:
-            raise FormatError(f"missing or unknown filter.kind '{kind}'", lineno, path)
-        scheme = Scheme(
-            status=StatusFunction(stakeholders),
-            aggregation=aggregation,
-            filter=filt,
-            empty_filter=field("empty_filter", "error"),
-        )
-    except ValueError as err:
-        raise FormatError(str(err), path=path)
+            raise FormatError(f"unknown source kind '{kind}'", lineno, path)
+        acc_line, (accumulation,) = accumulations.get(i, (None, ["sum"]))
+        if accumulation == "discounted" and i not in gammas:
+            raise FormatError(f"stakeholder {i} is discounted but has no 'gamma {i}'",
+                              acc_line, path)
+        if accumulation != "discounted" and i in gammas:
+            raise FormatError(f"'gamma {i}' is never read: stakeholder {i} is not discounted",
+                              gammas[i][0], path)
+        # Only a discounted stakeholder has a gamma line, and then gamma is
+        # the one value StakeholderStatus can refuse.
+        gamma_line, (gamma,) = gammas.get(i, (None, ["1"]))
+        stakeholders.append(_at(gamma_line or acc_line, path, StakeholderStatus, source,
+                                accumulation, _parse_real(gamma, gamma_line, path)))
+    lineno, mode = field("aggregation.mode", "flattened")
+    if mode == "flattened":
+        lineno, op = field("aggregation.op")
+        aggregation = _at(lineno, path, Aggregation, mode=mode, op=op)
+    else:
+        # The mode and both ops are checked together, so no single line is named.
+        aggregation = _at(None, path, Aggregation, mode=mode,
+                          inner_op=field("aggregation.inner_op")[1],
+                          outer_op=field("aggregation.outer_op")[1])
+    lineno, kind = field("filter.kind")
+    if kind == "long_term":
+        filt = LongTermFilter()
+    elif kind == "anytime":
+        filt = AnytimeFilter()
+    elif kind == "periodic":
+        lineno, period = integer("filter.p")
+        filt = _at(lineno, path, PeriodicFilter, period)
+    elif kind == "event_count":
+        _, (atom,) = _once(found, "filter.atom", path)
+        lineno, every = integer("filter.k")
+        filt = _at(lineno, path, EventCountFilter, atom, every)
+    else:
+        raise FormatError(f"missing or unknown filter.kind '{kind}'", lineno, path)
+    status = _at(n_line, path, StatusFunction, stakeholders)
+    lineno, empty_filter = field("empty_filter", "error")
+    scheme = _at(lineno, path, Scheme, status, aggregation, filt, empty_filter)
     unread = [(entries[0][0], key) for key, entries in found.items() if entries]
     if unread:
         lineno, key = min(unread)

@@ -196,6 +196,21 @@ class TestOptimize:
         best = load_trajectory(tmp_path / "run" / "best.traj")
         assert best.horizon == 6
 
+    def test_memory_q_takes_a_discounted_markov_mean_scheme(self, run_cli, fixtures_dir, tmp_path):
+        code, out, err = run_cli(
+            "optimize",
+            "--env", str(fixtures_dir / "restaurant3.env"),
+            "--scheme", str(fixtures_dir / "restaurant3_mixed.scheme"),
+            "--method", "memory_q",
+            "--horizon", "3",
+            "--episodes", "50",
+            "--seed", "0",
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 0, err
+        assert out.startswith("score ")
+        assert "evaluations 51" in out
+
     def test_same_seed_reruns_are_byte_identical(self, run_cli, fixtures_dir, tmp_path):
         args = (
             "optimize",
@@ -434,6 +449,59 @@ class TestNonFiniteNumbers:
         code, out, err = run_cli("describe", str(scheme))
         assert code == 1
         assert message in err
+
+
+class TestInvalidMachine:
+    """Every command reports an invalid machine one way, naming its file."""
+
+    @pytest.fixture
+    def gap(self, tmp_path):
+        (tmp_path / "gap.rm").write_text('alphabet pasta cake\nstate q init\ntrans q "pasta" q 0\n')
+        scheme = tmp_path / "gap.scheme"
+        scheme.write_text("n 1\nsource 1 machine gap.rm\naggregation.op sum\nfilter.kind long_term\n")
+        return tmp_path / "gap.rm", scheme
+
+    @staticmethod
+    def report(rm):
+        return f"{rm}: not a valid machine\n  state q: no guard holds on {{}}\n"
+
+    def test_validate_and_describe_the_machine(self, run_cli, gap):
+        rm, _ = gap
+        code, out, err = run_cli("validate", str(rm))
+        assert code == 1
+        assert out.startswith(f"{rm}: INVALID\n  {self.report(rm)}")
+        code, out, err = run_cli("describe", str(rm))
+        assert code == 1
+        assert err.startswith(f"error: {self.report(rm)}")
+
+    def test_a_scheme_that_references_it(self, run_cli, fixtures_dir, gap):
+        rm, scheme = gap
+        code, out, err = run_cli("validate", str(scheme))
+        assert code == 1
+        assert out.startswith(f"{scheme}: INVALID\n  {self.report(rm)}")
+        for command in ("describe", "evaluate"):
+            argv = [command, str(scheme)] if command == "describe" else [
+                command, "--scheme", str(scheme), "--traj", str(fixtures_dir / "dinner.traj")]
+            code, out, err = run_cli(*argv)
+            assert code == 1
+            assert err.startswith(f"error: {self.report(rm)}")
+
+
+def test_an_overflowed_score_prints_inf(run_cli, fixtures_dir, tmp_path):
+    (tmp_path / "big.mt").write_text("default 1e308\n")
+    scheme = tmp_path / "big.scheme"
+    scheme.write_text(
+        "n 2\nsource 1 markov big.mt\nsource 2 markov big.mt\n"
+        "aggregation.op product\nfilter.kind long_term\n"
+    )
+    code, out, err = run_cli(
+        "evaluate", "--scheme", str(scheme), "--traj", str(fixtures_dir / "dinner.traj"),
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    assert out == "score inf\nlog_score inf\n"
+    assert (tmp_path / "out" / "statuses.csv").read_text() == "t,u_1,u_2\n3,inf,inf\n"
 
 
 class TestFixtureDirFallback:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from temporal_pluralism.formula import parse_formula
 from temporal_pluralism.machine import RewardMachine, Transition
 from temporal_pluralism.optimize import (
     BudgetExceededError,
-    UnsupportedSchemeError,
+    _exceeds,
     optimize_exhaustive,
     optimize_greedy,
     optimize_memory_q,
@@ -64,6 +65,21 @@ class TestExhaustive:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             optimize_exhaustive(distinct_env(3), count_scheme(3), horizon=6, budget=100)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_budget_check_is_exact(self, k):
+        for horizon in range(13):
+            count = k**horizon
+            for budget in (0, count - 1, count, count + 1):
+                assert _exceeds(k, horizon, budget) == (count > budget)
+
+    def test_a_huge_horizon_is_refused_at_once(self, fixtures_dir):
+        env = load_env(fixtures_dir / "restaurant5.env")
+        scheme = load_scheme(fixtures_dir / "restaurant5_longterm_nash.scheme")
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"5\^10000000 sequences"):
+            optimize_exhaustive(env, scheme, horizon=10**7)
+        assert time.perf_counter() - started < 1.0
 
     def test_zero_horizon_has_no_scorable_prefix(self):
         with pytest.raises(EmptyFilterError):
@@ -179,39 +195,15 @@ class TestMemoryQ:
         assert result.score == 24.0
         assert result.evaluations == 501
 
-    @pytest.mark.parametrize("filt, horizon", [(PeriodicFilter(5), 4), (LongTermFilter(), 0)])
+    @pytest.mark.parametrize(
+        "filt, horizon",
+        [(PeriodicFilter(5), 4), (LongTermFilter(), 0), (EventCountFilter("visit", 5), 4)],
+    )
     def test_filter_passing_no_time_is_an_empty_filter_error(self, filt, horizon):
         scheme = count_scheme(2, filt=filt)
         for episodes in (0, 10):
             with pytest.raises(EmptyFilterError):
                 optimize_memory_q(distinct_env(2), scheme, horizon, episodes=episodes, seed=0)
-
-    def test_event_count_filter_rejected(self):
-        scheme = count_scheme(2, filt=EventCountFilter("visit", 2))
-        with pytest.raises(UnsupportedSchemeError):
-            optimize_memory_q(distinct_env(2), scheme, horizon=4, episodes=10, seed=0)
-
-    def test_discounted_accumulation_rejected(self):
-        scheme = Scheme(
-            status=StatusFunction(
-                (StakeholderStatus(AtomCountSource("served_1"), "discounted", 0.5),)
-            ),
-            aggregation=NASH,
-            filter=LongTermFilter(),
-        )
-        with pytest.raises(UnsupportedSchemeError):
-            optimize_memory_q(distinct_env(1), scheme, horizon=3, episodes=10, seed=0)
-
-    def test_markov_source_rejected(self):
-        scheme = Scheme(
-            status=StatusFunction(
-                (StakeholderStatus(MarkovTableSource(rewards={}, default=1.0)),)
-            ),
-            aggregation=NASH,
-            filter=LongTermFilter(),
-        )
-        with pytest.raises(UnsupportedSchemeError):
-            optimize_memory_q(distinct_env(1), scheme, horizon=3, episodes=10, seed=0)
 
     def test_memory_cap(self):
         alpha = ("served_1", "visit")
@@ -238,6 +230,50 @@ class TestMemoryQ:
         scheme = load_scheme(fixtures_dir / "greedy_trap.scheme")
         result = optimize_memory_q(env, scheme, horizon=2, episodes=500, seed=1)
         assert result.score == 5.0
+
+
+def _first_then(atom, first, later):
+    """A machine rewarding `first` the first time `atom` holds, `later` after."""
+    alpha = ("served_1", "served_2", "visit")
+    hit, miss = parse_formula(atom, alpha), parse_formula(f"!{atom}", alpha)
+    return MachineSource(RewardMachine(("a", "b"), "a", alpha, (
+        Transition("a", hit, "b", first), Transition("a", miss, "a", 0.0),
+        Transition("b", hit, "b", later), Transition("b", miss, "b", 0.0),
+    )))
+
+
+TABLE = MarkovTableSource({("v0", "italian", "v1"): 3.0, ("v1", "sushi", "v2"): 2.0}, default=1.0)
+LONG_TERM = {
+    "discounted": ((StakeholderStatus(AtomCountSource("served_1"), "discounted", 0.9),
+                    StakeholderStatus(AtomCountSource("served_2"), "discounted", 0.5)), NASH, 5),
+    "mean": ((StakeholderStatus(AtomCountSource("served_1"), "mean"),
+              StakeholderStatus(AtomCountSource("served_2"), "mean")), Aggregation(op="min"), 5),
+    "markov-table": ((StakeholderStatus(TABLE), StakeholderStatus(AtomCountSource("served_2"))),
+                     NASH, 4),
+    "non-integer-machine": ((StakeholderStatus(_first_then("served_1", 0.5, 0.25)),
+                             StakeholderStatus(_first_then("served_2", 0.5, 0.25))), NASH, 5),
+}
+
+
+@pytest.mark.parametrize("name", LONG_TERM)
+def test_memory_q_is_exact_on_long_term_filters(name):
+    stakeholders, aggregation, horizon = LONG_TERM[name]
+    scheme = Scheme(StatusFunction(stakeholders), aggregation, LongTermFilter())
+    env = distinct_env(2)
+    oracle = optimize_exhaustive(env, scheme, horizon)
+    learner = optimize_memory_q(env, scheme, horizon, episodes=1000, seed=0)
+    assert learner.score == oracle.score
+
+
+@pytest.mark.parametrize(
+    "atom, every, horizon", [("served_1", 2, 4), ("served_2", 3, 5), ("visit", 2, 5)]
+)
+def test_memory_q_on_event_count_filters_never_beats_the_oracle(atom, every, horizon):
+    scheme = count_scheme(2, filt=EventCountFilter(atom, every))
+    oracle = optimize_exhaustive(distinct_env(2), scheme, horizon)
+    for seed in range(3):
+        learner = optimize_memory_q(distinct_env(2), scheme, horizon, episodes=100, seed=seed)
+        assert learner.score <= oracle.score
 
 
 def random_instance(rng, horizon=None):

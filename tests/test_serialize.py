@@ -167,6 +167,11 @@ class TestEnvFormat:
         with pytest.raises(FormatError):
             parse_env_text(text)
 
+    def test_a_grid_without_cells_is_reported_before_its_recipients(self):
+        text = "env delivery_grid\ngrid 0 1\nstart 0 0\nrecipient 0 0\n"
+        with pytest.raises(FormatError, match=r"^in\.env: grid must be at least 1x1$"):
+            parse_env_text(text, "in.env")
+
 
 class TestSchemeFormat:
     def test_bundled_every_tenth_visit_scheme(self, fixtures_dir):
@@ -239,6 +244,11 @@ class TestSchemeFormat:
         with pytest.raises(FormatError, match="filter.p"):
             parse_scheme_text(text)
 
+    def test_event_count_filter_needs_its_atom(self):
+        text = "n 1\nsource 1 count a\naggregation.op product\nfilter.kind event_count\nfilter.k 2\n"
+        with pytest.raises(FormatError, match="missing 'filter.atom' line"):
+            parse_scheme_text(text)
+
 
 TWO = "n 2\nsource 1 count a\nsource 2 count b\naggregation.op product\nfilter.kind long_term\n"
 ONE = "n 1\nsource 1 count a\naggregation.op product\n"
@@ -266,16 +276,27 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         (parse_env_text, RESTAURANT + "types a b\n", 5),
         (parse_env_text, DELIVERY + "grid 3 1\n", 5),
         (parse_markov_table_text, "default 0\nreward s a t 1\ndefault 1\n", 3),
+        (parse_scheme_text, TWO + "accumulation 1 discounted\ngamma 1 1.5\n", 7),
+        (parse_scheme_text, TWO + "accumulation 1 bogus\n", 6),
+        (parse_scheme_text, ONE + "filter.kind periodic\nfilter.p 0\n", 5),
+        (parse_scheme_text, ONE + "filter.kind event_count\nfilter.atom a\nfilter.k 0\n", 6),
+        (parse_scheme_text, "n 1\nsource 1 count a\naggregation.op bogus\nfilter.kind anytime\n", 3),
+        (parse_scheme_text, TWO + "empty_filter bogus\n", 6),
+        (parse_env_text, "env restaurant\nn_friends 1\ntypes a b\nprefers 1 c\n", 4),
+        (parse_env_text, DELIVERY + "recipient 5 0\n", 5),
     ],
     ids=[
         "gamma-on-sum", "discounted-without-gamma", "index-out-of-range",
         "accumulation-twice", "non-integer-period", "period-under-long-term",
         "op-beside-nested-mode", "atom-under-periodic", "prefers-twice",
         "n_friends-twice", "types-twice", "grid-twice", "default-twice",
+        "gamma-above-one", "unknown-accumulation", "zero-period", "zero-event-count",
+        "unknown-op", "unknown-empty-filter", "type-not-offered", "recipient-off-grid",
     ],
 )
 def test_reader_rejects_the_line(parse, text, line):
-    """Each input breaks one directive rule; the error names the file and the line."""
+    """Each input breaks one directive rule or has one value a constructor
+    refuses; the error names the file and the line."""
     with pytest.raises(FormatError, match=rf"^in\.txt:{line}: "):
         parse(text, "in.txt")
 
