@@ -14,7 +14,6 @@ from .environment import (
     RestaurantConfig,
     RestaurantEnv,
     Trajectory,
-    always_policy,
     cycle_policy,
     random_policy,
     replay,
@@ -80,7 +79,6 @@ __all__ = [
     "Trajectory",
     "Transition",
     "aggregate",
-    "always_policy",
     "cycle_policy",
     "filter_times",
     "load_env",

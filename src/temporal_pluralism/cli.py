@@ -20,7 +20,6 @@ from pathlib import Path
 from .environment import (
     DeliveryGridEnv,
     RestaurantEnv,
-    always_policy,
     cycle_policy,
     random_policy,
     rollout,
@@ -72,7 +71,7 @@ def parse_policy(text: str, env):
     if not sep or not rest:
         raise PluralismError(f"bad policy '{text}' (try always:ACT, cycle:A,B, seq:A,B, random)")
     if kind == "always":
-        return always_policy(rest)
+        return cycle_policy((rest,))
     if kind == "cycle":
         return cycle_policy(rest.split(","))
     if kind == "seq":
@@ -144,11 +143,9 @@ def cmd_optimize(args) -> int:
     env = load_env(resolve_path(args.env))
     scheme = load_scheme(resolve_path(args.scheme))
     if args.method == "exhaustive":
-        result = optimize_exhaustive(env, scheme, args.horizon, seed=args.seed, budget=args.budget)
+        result = optimize_exhaustive(env, scheme, args.horizon, budget=args.budget)
     elif args.method == "greedy":
-        result = optimize_greedy(
-            env, scheme, args.horizon, lookahead=args.lookahead, seed=args.seed
-        )
+        result = optimize_greedy(env, scheme, args.horizon, lookahead=args.lookahead)
     else:
         result = optimize_memory_q(
             env,
@@ -345,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--env")
     ev.add_argument("--policy", help="always:ACT | cycle:A,B | seq:A,B | random")
     ev.add_argument("--horizon", type=_int_at_least(0))
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=int, default=0, help="read only by --policy random")
     ev.add_argument("--out", help="directory for the status CSV")
     ev.set_defaults(func=cmd_evaluate, parser=ev)
 
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--scheme", required=True)
     op.add_argument("--method", required=True, choices=("exhaustive", "greedy", "memory_q"))
     op.add_argument("--horizon", type=_int_at_least(0), required=True)
-    op.add_argument("--seed", type=int, required=True)
+    op.add_argument("--seed", type=int, required=True, help="read only by memory_q")
     op.add_argument("--out", required=True, help="directory for result files")
     op.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     op.add_argument("--lookahead", type=_int_at_least(1), default=1)

@@ -1,19 +1,21 @@
 """Labelled sequential environments and the trajectories they produce.
 
 An environment steps through states under chosen actions and labels each
-transition with the set of atomic propositions that hold on it.  Both
-bundled environments are deterministic given the action sequence; any
-stochasticity enters only through the seeded stream handed to policies,
-which keeps exhaustive search an exact oracle.
+transition with the set of atomic propositions that hold on it.  `replay`
+is the only loop that steps one, and it hands the environment no
+randomness, so a trajectory is a function of its action sequence and
+exhaustive search is an exact oracle.  Stochasticity enters only through
+the seeded stream `rollout` hands to policies.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import PluralismError
+from .errors import FieldError, PluralismError
 from .formula import check_alphabet
 
 
@@ -72,10 +74,13 @@ class LabelledEnv:
     actions: tuple[str, ...] = ()
 
     def reset(self, seed: int):
+        """The initial state.  `seed` is never read; like `step`'s `rng`, it
+        stays only until perfbench's call sites drop it."""
         raise NotImplementedError
 
-    def step(self, state, action: str, rng: random.Random):
-        """Returns (next_state, valuation). Deterministic for both bundled envs."""
+    def step(self, state, action: str, rng: None):
+        """Returns (next_state, valuation).  `rng` is always None: replay
+        hands an environment no randomness."""
         raise NotImplementedError
 
     def state_id(self, state) -> str:
@@ -98,14 +103,14 @@ class RestaurantConfig:
         object.__setattr__(self, "restaurant_types", tuple(self.restaurant_types))
         object.__setattr__(self, "preferred", tuple(self.preferred))
         if self.n_friends < 1:
-            raise ValueError("need at least one friend")
+            raise FieldError("need at least one friend", "n_friends")
         if len(self.preferred) != self.n_friends:
             raise ValueError("one preferred type per friend")
-        if len(set(self.restaurant_types)) != len(self.restaurant_types):
-            raise ValueError("duplicate restaurant types")
-        for t in self.preferred:
+        for i, t in enumerate(self.preferred):
             if t not in self.restaurant_types:
-                raise ValueError(f"preferred type '{t}' not offered")
+                raise FieldError(f"preferred type '{t}' not offered", ("preferred", i))
+        if len(set(self.restaurant_types)) != len(self.restaurant_types):
+            raise FieldError("duplicate restaurant types", "restaurant_types")
 
 
 class RestaurantEnv(LabelledEnv):
@@ -127,7 +132,7 @@ class RestaurantEnv(LabelledEnv):
     def reset(self, seed: int) -> int:
         return 0
 
-    def step(self, state: int, action: str, rng: random.Random):
+    def step(self, state: int, action: str, rng: None):
         if action not in self.config.restaurant_types:
             raise InvalidActionError(f"unknown restaurant type '{action}'")
         atoms = {
@@ -157,16 +162,17 @@ class DeliveryConfig:
             self, "recipients", tuple(tuple(r) for r in self.recipients)
         )
         if self.width < 1 or self.height < 1:
-            raise ValueError("grid must be at least 1x1")
+            raise FieldError("grid must be at least 1x1", "grid")
+        for i, cell in enumerate(self.recipients):
+            if not self._in_bounds(cell):
+                raise FieldError(f"recipient cell {cell} outside the grid", ("recipients", i))
         if not self._in_bounds(self.start):
-            raise ValueError(f"start {self.start} outside the grid")
+            raise FieldError(f"start {self.start} outside the grid", "start")
         if not self.recipients:
             raise ValueError("need at least one recipient")
-        for cell in self.recipients:
-            if not self._in_bounds(cell):
-                raise ValueError(f"recipient cell {cell} outside the grid")
-        if len(set(self.recipients)) != len(self.recipients):
-            raise ValueError("recipients must occupy distinct cells")
+        for i, cell in enumerate(self.recipients):
+            if cell in self.recipients[:i]:
+                raise FieldError("recipients must occupy distinct cells", ("recipients", i))
 
     def _in_bounds(self, cell) -> bool:
         x, y = cell
@@ -199,7 +205,7 @@ class DeliveryGridEnv(LabelledEnv):
         x, y = self.config.start
         return (x, y, (False,) * len(self.config.recipients))
 
-    def step(self, state, action: str, rng: random.Random):
+    def step(self, state, action: str, rng: None):
         if action not in self.actions:
             raise InvalidActionError(f"unknown action '{action}'")
         x, y, done = state
@@ -227,13 +233,32 @@ class DeliveryGridEnv(LabelledEnv):
         return f"x{x}y{y}d{flags}"
 
 
+def replay(env: LabelledEnv, actions: Iterable[str], seed: int = 0) -> Trajectory:
+    """The one loop that steps an environment: `actions` from a fresh reset.
+
+    Each action is read just before its own step, so a lazy stream (see
+    rollout) picks it with every earlier step already taken.  The env is
+    handed no randomness: `step` always receives None.
+    """
+    state = env.reset(seed)
+    states = [env.state_id(state)]
+    acts: list[str] = []
+    labels: list[frozenset] = []
+    for action in actions:
+        state, valuation = env.step(state, action, None)
+        states.append(env.state_id(state))
+        acts.append(action)
+        labels.append(valuation)
+    return Trajectory(states=tuple(states), actions=tuple(acts), labels=tuple(labels))
+
+
 def rollout(
     env: LabelledEnv,
     policy: Callable,
     horizon: int,
     seed: int = 0,
 ) -> Trajectory:
-    """Run `policy(state, t, rng)` for `horizon` steps from a fresh reset.
+    """Replay the actions `policy(t, rng)` picks for t = 1..horizon.
 
     The rng is a single random.Random(seed) shared across steps, so the
     whole episode is a deterministic function of (seed, policy).
@@ -241,34 +266,7 @@ def rollout(
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     rng = random.Random(seed)
-    state = env.reset(seed)
-    states = [env.state_id(state)]
-    actions: list[str] = []
-    labels: list[frozenset] = []
-    for t in range(1, horizon + 1):
-        action = policy(state, t, rng)
-        state, valuation = env.step(state, action, rng)
-        states.append(env.state_id(state))
-        actions.append(action)
-        labels.append(valuation)
-    return Trajectory(states=tuple(states), actions=tuple(actions), labels=tuple(labels))
-
-
-def replay(env: LabelledEnv, action_seq: Sequence[str], seed: int = 0) -> Trajectory:
-    """Rollout of a fixed action sequence (the optimizers' workhorse)."""
-    seq = list(action_seq)
-
-    def policy(state, t, rng):
-        return seq[t - 1]
-
-    return rollout(env, policy, horizon=len(seq), seed=seed)
-
-
-def always_policy(action: str) -> Callable:
-    def policy(state, t, rng):
-        return action
-
-    return policy
+    return replay(env, map(policy, range(1, horizon + 1), itertools.repeat(rng)), seed)
 
 
 def cycle_policy(order: Sequence[str]) -> Callable:
@@ -277,7 +275,7 @@ def cycle_policy(order: Sequence[str]) -> Callable:
     if not order:
         raise ValueError("cycle needs at least one action")
 
-    def policy(state, t, rng):
+    def policy(t, rng):
         return order[(t - 1) % len(order)]
 
     return policy
@@ -287,7 +285,7 @@ def sequence_policy(seq: Sequence[str]) -> Callable:
     """Play a fixed finite sequence; stepping past its end is an error."""
     seq = tuple(seq)
 
-    def policy(state, t, rng):
+    def policy(t, rng):
         if t > len(seq):
             raise InvalidActionError(f"sequence policy exhausted at step {t}")
         return seq[t - 1]
@@ -298,7 +296,7 @@ def sequence_policy(seq: Sequence[str]) -> Callable:
 def random_policy(actions: Sequence[str]) -> Callable:
     actions = tuple(actions)
 
-    def policy(state, t, rng):
+    def policy(t, rng):
         return rng.choice(actions)
 
     return policy

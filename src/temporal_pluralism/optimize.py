@@ -8,19 +8,20 @@ declared action order, which keeps golden results stable across platforms.
 optimize_exhaustive is the exact oracle (every action sequence within a
 budget).  optimize_greedy commits one action at a time after scoring
 d-step extensions.  Both run the one scan _best_extension, from
-different prefixes to different depths.  optimize_memory_q learns a
-tabular policy over the environment state augmented with the scheme's
-status state (see scheme.step_state), with the whole-trajectory score
-granted as a terminal reward.  It takes every scheme the scorer scores,
-and its table needs no cap: it gains at most one key per step of each
-episode.
+different prefixes to different depths, and use no randomness: each
+candidate is a `replay` of its action sequence, and `evaluations` is the
+number of candidates, computed rather than counted.  optimize_memory_q
+learns a tabular policy over the environment state augmented with the
+scheme's status state (see scheme.step_state), with the whole-trajectory
+score granted as a terminal reward; its seed drives exploration only.
+It takes every scheme the scorer scores, and its table needs no cap: it
+gains at most one key per step of each episode.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass
 
 from .environment import LabelledEnv, Trajectory, replay
@@ -47,29 +48,20 @@ class PolicyResult:
     score: float
     method: str
     evaluations: int
-    wall_time: float
 
 
 DEFAULT_BUDGET = 10_000_000
 
 
-def _result(
-    scheme: Scheme, traj: Trajectory, method: str, evaluations: int, started: float
-) -> PolicyResult:
-    """Every optimizer's result: the trajectory rescored, the wall time stamped."""
-    return PolicyResult(
-        trajectory=traj,
-        score=pluralism_score(scheme, traj),
-        method=method,
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - started,
-    )
+def _result(scheme: Scheme, traj: Trajectory, method: str, evaluations: int) -> PolicyResult:
+    """Every optimizer's result: the trajectory rescored."""
+    return PolicyResult(traj, pluralism_score(scheme, traj), method, evaluations)
 
 
 def _best_extension(
-    env: LabelledEnv, scheme: Scheme, prefix: tuple, depth: int, seed: int, full: bool
+    env: LabelledEnv, scheme: Scheme, prefix: tuple, depth: int, full: bool
 ) -> tuple:
-    """(extension, evaluations): the best `depth`-action extension of `prefix`.
+    """The best `depth`-action extension of `prefix`.
 
     Every extension is replayed from reset.  When it reaches the full
     horizon it is keyed by the scheme's score, and skipped if the filter
@@ -80,10 +72,8 @@ def _best_extension(
     nothing is scorable the last EmptyFilterError surfaces.
     """
     best_key = best_ext = skip_error = None
-    evaluations = 0
     for ext in itertools.product(env.actions, repeat=depth):
-        traj = replay(env, prefix + ext, seed)
-        evaluations += 1
+        traj = replay(env, prefix + ext)
         if full:
             try:
                 key = (pluralism_score(scheme, traj),)
@@ -97,7 +87,7 @@ def _best_extension(
             best_key, best_ext = key, ext
     if best_ext is None:
         raise skip_error or EmptyFilterError("no scorable action sequence")
-    return best_ext, evaluations
+    return best_ext
 
 
 def _exceeds(k: int, horizon: int, budget: int) -> bool:
@@ -111,7 +101,6 @@ def optimize_exhaustive(
     env: LabelledEnv,
     scheme: Scheme,
     horizon: int,
-    seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> PolicyResult:
     """Enumerate every action sequence of the given length; exact maximum.
@@ -122,13 +111,11 @@ def optimize_exhaustive(
     sequence in declared action order.
     """
     check_alphabet_compatibility(scheme, env.alphabet)
-    if _exceeds(len(env.actions), horizon, budget):
-        raise BudgetExceededError(
-            f"{len(env.actions)}^{horizon} sequences exceed the budget {budget}"
-        )
-    started = time.perf_counter()
-    best, evaluations = _best_extension(env, scheme, (), horizon, seed, full=True)
-    return _result(scheme, replay(env, best, seed), "exhaustive", evaluations, started)
+    k = len(env.actions)
+    if _exceeds(k, horizon, budget):
+        raise BudgetExceededError(f"{k}^{horizon} sequences exceed the budget {budget}")
+    best = _best_extension(env, scheme, (), horizon, full=True)
+    return _result(scheme, replay(env, best), "exhaustive", k**horizon)
 
 
 def optimize_greedy(
@@ -136,7 +123,6 @@ def optimize_greedy(
     scheme: Scheme,
     horizon: int,
     lookahead: int = 1,
-    seed: int = 0,
 ) -> PolicyResult:
     """Commit one action at a time, scoring every d-step extension.
 
@@ -149,16 +135,14 @@ def optimize_greedy(
     if lookahead < 1:
         raise ValueError("lookahead must be >= 1")
     check_alphabet_compatibility(scheme, env.alphabet)
-    started = time.perf_counter()
     chosen: tuple = ()
     evaluations = 0
     while len(chosen) < horizon:
         depth = min(lookahead, horizon - len(chosen))
         full = len(chosen) + depth == horizon
-        ext, spent = _best_extension(env, scheme, chosen, depth, seed, full)
-        chosen += ext[:1]
-        evaluations += spent
-    return _result(scheme, replay(env, chosen, seed), "greedy", evaluations, started)
+        chosen += _best_extension(env, scheme, chosen, depth, full)[:1]
+        evaluations += len(env.actions) ** depth
+    return _result(scheme, replay(env, chosen), "greedy", evaluations)
 
 
 def optimize_memory_q(
@@ -194,15 +178,12 @@ def optimize_memory_q(
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     check_alphabet_compatibility(scheme, env.alphabet)
-    started = time.perf_counter()
     status = scheme.status
     actions = env.actions
     rng = random.Random(seed)
     q: dict = {}
-    evaluations = 0
 
     def run_episode(explore: bool):
-        nonlocal evaluations
         state = env.reset(seed)
         memory = start_state(status)
         states = [env.state_id(state)]
@@ -216,15 +197,13 @@ def optimize_memory_q(
                 ai = rng.randrange(len(actions))
             else:
                 ai = row.index(max(row))
-            state, label = env.step(state, actions[ai], rng)
+            state, label = env.step(state, actions[ai], None)
             states.append(env.state_id(state))
             memory = step_state(status, memory, states[-2], actions[ai], states[-1], label)
             acts.append(actions[ai])
             labels.append(label)
             path.append((key, ai))
-        traj = Trajectory(tuple(states), tuple(acts), tuple(labels))
-        evaluations += 1
-        return traj, path
+        return Trajectory(tuple(states), tuple(acts), tuple(labels)), path
 
     for _ in range(episodes):
         traj, path = run_episode(explore=True)
@@ -238,5 +217,5 @@ def optimize_memory_q(
             bootstrap = max(row)
 
     best_traj, _ = run_episode(explore=False)
-    return _result(scheme, best_traj, "memory_q", evaluations, started)
+    return _result(scheme, best_traj, "memory_q", episodes + 1)
 

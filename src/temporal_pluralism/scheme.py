@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .environment import Trajectory
-from .errors import PluralismError
+from .errors import FieldError, PluralismError
 from .machine import RewardMachine, run_machine, step_machine
 
 
@@ -126,9 +126,9 @@ class StakeholderStatus:
 
     def __post_init__(self):
         if self.accumulation not in _ACCUMULATIONS:
-            raise ValueError(f"unknown accumulation '{self.accumulation}'")
+            raise FieldError(f"unknown accumulation '{self.accumulation}'", "accumulation")
         if self.accumulation == "discounted" and not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+            raise FieldError(f"gamma must be in (0, 1], got {self.gamma}", "gamma")
 
 
 @dataclass(frozen=True)
@@ -298,15 +298,18 @@ class Aggregation:
 
     def __post_init__(self):
         if self.mode not in _MODES:
-            raise ValueError(f"unknown aggregation mode '{self.mode}'")
+            raise FieldError(f"unknown aggregation mode '{self.mode}'", "mode")
         if self.mode == "flattened":
             if self.op not in _OPS:
-                raise ValueError(f"flattened aggregation needs op in {_OPS}")
+                raise FieldError(f"flattened aggregation needs op in {_OPS}", "op")
             if self.inner_op is not None or self.outer_op is not None:
                 raise ValueError("inner_op/outer_op are for the nested modes")
         else:
-            if self.inner_op not in _OPS or self.outer_op not in _OPS:
-                raise ValueError(f"nested aggregation needs inner_op and outer_op in {_OPS}")
+            for name in ("inner_op", "outer_op"):
+                if getattr(self, name) not in _OPS:
+                    raise FieldError(
+                        f"nested aggregation needs inner_op and outer_op in {_OPS}", name
+                    )
             if self.op is not None:
                 raise ValueError("op is for flattened mode")
 

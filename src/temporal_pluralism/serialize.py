@@ -151,12 +151,16 @@ def _indexed(found: dict, key: str, n: int, path: str, every: str = None) -> dic
     return out
 
 
-def _at(lineno: int, path: str, make, *args, **kwargs):
-    """make(*args, **kwargs), a ValueError it raises reported at `lineno`."""
+def _at(line, path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError it raises reported at `line`: a
+    line number, or {field: line number} to name the line of the field a
+    FieldError tags."""
     try:
         return make(*args, **kwargs)
     except ValueError as err:
-        raise FormatError(str(err), lineno, path)
+        if isinstance(line, dict):
+            line = line.get(getattr(err, "field", None))
+        raise FormatError(str(err), line, path)
 
 
 def _parse_real(token: str, lineno: int, path: str) -> float:
@@ -270,31 +274,29 @@ def parse_env_text(text: str, path: str = None) -> LabelledEnv:
 
 def _parse_restaurant(body: list, path: str) -> RestaurantEnv:
     found = _directives(body, path, {"n_friends": "N", "types": "[TYPE...]", "prefers": "I TYPE"})
-    lineno, (count,) = _once(found, "n_friends", path)
-    n_friends = _parse_int(count, lineno, path)
-    _, types = _once(found, "types", path)
+    n_line, (count,) = _once(found, "n_friends", path)
+    n_friends = _parse_int(count, n_line, path)
+    types_line, types = _once(found, "types", path)
     prefers = _indexed(found, "prefers", n_friends, path, every="friend")
-    for lineno, (pref,) in prefers.values():  # per line, so the error names it
-        if pref not in types:
-            raise FormatError(f"preferred type '{pref}' not offered", lineno, path)
+    lines = {"n_friends": n_line, "restaurant_types": types_line}
+    lines.update({("preferred", i - 1): lineno for i, (lineno, _) in prefers.items()})
     preferred = tuple(prefers[i][1][0] for i in range(1, n_friends + 1))
-    return RestaurantEnv(_at(None, path, RestaurantConfig, n_friends, tuple(types), preferred))
+    return RestaurantEnv(_at(lines, path, RestaurantConfig, n_friends, tuple(types), preferred))
 
 
 def _parse_delivery(body: list, path: str) -> DeliveryGridEnv:
     found = _directives(body, path, {"grid": "W H", "start": "X Y", "recipient": "X Y"})
 
     def pair(lineno, args):
-        return tuple(_parse_int(a, lineno, path) for a in args)
+        return lineno, tuple(_parse_int(a, lineno, path) for a in args)
 
-    width, height = pair(*_once(found, "grid", path))
-    start = pair(*_once(found, "start", path))
-    recipients = tuple(pair(*entry) for entry in found["recipient"])
-    # Per line, as for `prefers`; a grid without cells is DeliveryConfig's to report.
-    for (lineno, _), (x, y) in zip(found["recipient"], recipients):
-        if width >= 1 and height >= 1 and not (0 <= x < width and 0 <= y < height):
-            raise FormatError(f"recipient cell {(x, y)} outside the grid", lineno, path)
-    return DeliveryGridEnv(_at(None, path, DeliveryConfig, width, height, start, recipients))
+    grid_line, (width, height) = pair(*_once(found, "grid", path))
+    start_line, start = pair(*_once(found, "start", path))
+    recipients = [pair(*entry) for entry in found["recipient"]]
+    lines = {"grid": grid_line, "start": start_line}
+    lines.update({("recipients", i): lineno for i, (lineno, _) in enumerate(recipients)})
+    cells = tuple(cell for _, cell in recipients)
+    return DeliveryGridEnv(_at(lines, path, DeliveryConfig, width, height, start, cells))
 
 
 def load_env(path) -> LabelledEnv:
@@ -437,20 +439,16 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
         if accumulation != "discounted" and i in gammas:
             raise FormatError(f"'gamma {i}' is never read: stakeholder {i} is not discounted",
                               gammas[i][0], path)
-        # Only a discounted stakeholder has a gamma line, and then gamma is
-        # the one value StakeholderStatus can refuse.
         gamma_line, (gamma,) = gammas.get(i, (None, ["1"]))
-        stakeholders.append(_at(gamma_line or acc_line, path, StakeholderStatus, source,
+        lines = {"accumulation": acc_line, "gamma": gamma_line}
+        stakeholders.append(_at(lines, path, StakeholderStatus, source,
                                 accumulation, _parse_real(gamma, gamma_line, path)))
-    lineno, mode = field("aggregation.mode", "flattened")
-    if mode == "flattened":
-        lineno, op = field("aggregation.op")
-        aggregation = _at(lineno, path, Aggregation, mode=mode, op=op)
-    else:
-        # The mode and both ops are checked together, so no single line is named.
-        aggregation = _at(None, path, Aggregation, mode=mode,
-                          inner_op=field("aggregation.inner_op")[1],
-                          outer_op=field("aggregation.outer_op")[1])
+    mode_line, mode = field("aggregation.mode", "flattened")
+    ops = ("op",) if mode == "flattened" else ("inner_op", "outer_op")
+    read = {op: field(f"aggregation.{op}") for op in ops}
+    lines = {"mode": mode_line, **{op: line for op, (line, _) in read.items()}}
+    aggregation = _at(lines, path, Aggregation, mode=mode,
+                      **{op: value for op, (_, value) in read.items()})
     lineno, kind = field("filter.kind")
     if kind == "long_term":
         filt = LongTermFilter()
@@ -525,11 +523,7 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def write_results(result: PolicyResult, scheme: Scheme, out_dir) -> None:
-    """result.txt + statuses.csv + best.traj under out_dir.
-
-    Wall time stays out of result.txt on purpose: the files must be
-    byte-identical across reruns with the same seed.
-    """
+    """result.txt + statuses.csv + best.traj under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [

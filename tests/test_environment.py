@@ -11,7 +11,6 @@ from temporal_pluralism.environment import (
     RestaurantConfig,
     RestaurantEnv,
     Trajectory,
-    always_policy,
     cycle_policy,
     random_policy,
     replay,
@@ -172,13 +171,13 @@ class TestDelivery:
 class TestRollout:
     def test_horizon_zero(self):
         env = make_restaurant(2)
-        t = rollout(env, always_policy("italian"), horizon=0)
+        t = rollout(env, cycle_policy(("italian",)), horizon=0)
         assert t.horizon == 0
         assert t.states == ("v0",)
 
     def test_always_policy_feeds_one_friend(self):
         env = make_restaurant(2)
-        t = rollout(env, always_policy("italian"), horizon=3)
+        t = rollout(env, cycle_policy(("italian",)), horizon=3)
         assert all(lab == frozenset({"served_1", "visit"}) for lab in t.labels)
 
     def test_cycle_policy_round_robins(self):
@@ -190,6 +189,12 @@ class TestRollout:
         env = make_restaurant(2)
         with pytest.raises(InvalidActionError):
             rollout(env, sequence_policy(("italian",)), horizon=2)
+
+    def test_each_action_is_read_just_before_its_step(self):
+        # The env refuses step 1's action before the policy is asked for step 2.
+        env = make_restaurant(2)
+        with pytest.raises(InvalidActionError, match="unknown restaurant type 'fondue'"):
+            rollout(env, sequence_policy(("fondue",)), horizon=2)
 
     def test_random_policy_reproducible(self):
         env = make_restaurant(3)
@@ -209,7 +214,7 @@ class TestRollout:
     def test_negative_horizon(self):
         env = make_restaurant(2)
         with pytest.raises(ValueError):
-            rollout(env, always_policy("italian"), horizon=-1)
+            rollout(env, cycle_policy(("italian",)), horizon=-1)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 5))
@@ -220,6 +225,7 @@ def test_rollout_prefix_property(total, k, seed):
     long = rollout(env, pol, horizon=total, seed=seed)
     short = rollout(env, pol, horizon=k, seed=seed)
     assert long.prefix(k) == short
+    assert replay(env, long.actions) == long
 
 
 @given(st.lists(st.sampled_from(("italian", "sushi", "taco")), max_size=10))

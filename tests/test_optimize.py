@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temporal_pluralism.environment import RestaurantConfig, RestaurantEnv
+from temporal_pluralism.environment import (
+    RestaurantConfig,
+    RestaurantEnv,
+    random_policy,
+    replay,
+    rollout,
+)
 from temporal_pluralism.formula import parse_formula
 from temporal_pluralism.machine import RewardMachine, Transition
 from temporal_pluralism.optimize import (
@@ -56,6 +62,7 @@ class TestExhaustive:
         # first maximizer in declared action order
         assert result.trajectory.actions == ("italian", "sushi")
         assert result.evaluations == 4
+        assert result.method == "exhaustive"
 
     def test_score_is_recomputable(self):
         scheme = count_scheme(2)
@@ -86,11 +93,15 @@ class TestExhaustive:
             optimize_exhaustive(distinct_env(2), count_scheme(2), horizon=0)
 
     def test_skips_unscorable_candidates(self):
-        # only trajectories with >= 2 visits are scorable; the single-step
-        # candidates must be skipped, not fatal
-        scheme = count_scheme(2, filt=EventCountFilter("visit", 2))
-        result = optimize_exhaustive(distinct_env(2), scheme, horizon=2)
-        assert result.score == 1.0
+        # 4 of the 8 sequences serve friend 1 fewer than twice and cannot be
+        # scored; they are skipped, not fatal, and still counted in k**H
+        env, scheme = distinct_env(2), count_scheme(2, filt=EventCountFilter("served_1", 2))
+        with pytest.raises(EmptyFilterError):
+            pluralism_score(scheme, replay(env, ("italian", "sushi", "sushi")))
+        result = optimize_exhaustive(env, scheme, horizon=3)
+        assert result.trajectory.actions == ("italian", "sushi", "italian")
+        assert result.score == 2.0
+        assert result.evaluations == 8
 
     def test_action_relabeling_gives_the_same_score(self):
         base = optimize_exhaustive(distinct_env(2), count_scheme(2), horizon=4)
@@ -312,7 +323,24 @@ def test_full_lookahead_matches_exhaustive_everywhere(horizon, seed):
     assert full.trajectory == oracle.trajectory
 
 
-def test_wall_time_is_positive():
-    result = optimize_exhaustive(distinct_env(2), count_scheme(2), horizon=2)
-    assert result.wall_time > 0.0
-    assert result.method == "exhaustive"
+class RecordingEnv(RestaurantEnv):
+    """A restaurant env that records the `rng` each step is handed."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.handed = set()
+
+    def step(self, state, action, rng):
+        self.handed.add(rng)
+        return super().step(state, action, rng)
+
+
+def test_no_randomness_reaches_the_environment():
+    env = RecordingEnv(RestaurantConfig(2, ("italian", "sushi"), ("italian", "sushi")))
+    scheme = count_scheme(2)
+    replay(env, ("italian", "sushi"), seed=3)
+    rollout(env, random_policy(env.actions), horizon=4, seed=3)
+    optimize_exhaustive(env, scheme, horizon=3)
+    optimize_greedy(env, scheme, horizon=3, lookahead=2)
+    optimize_memory_q(env, scheme, horizon=3, episodes=50, seed=3)
+    assert env.handed == {None}

@@ -1,5 +1,7 @@
-"""The experiment scripts run end to end, also where a scheme cannot score."""
+"""The scripts run end to end: the experiments also where a scheme cannot
+score, and the fixture regenerator reproduces fixtures/ byte for byte."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+FIXTURES = SCRIPTS.parent / "fixtures"
 ROUND = "no route completes a round"
 
 
@@ -29,3 +32,15 @@ def test_experiment_script_exits_cleanly(command, unscorable, scores):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert (unscorable in done.stdout) != scores
+
+
+def test_regen_fixtures_reproduces_the_fixtures(tmp_path):
+    spec = importlib.util.spec_from_file_location("regen_fixtures", SCRIPTS / "regen_fixtures.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    regen.FIXTURES = tmp_path
+    regen.main()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in FIXTURES.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

@@ -169,7 +169,7 @@ class TestEnvFormat:
 
     def test_a_grid_without_cells_is_reported_before_its_recipients(self):
         text = "env delivery_grid\ngrid 0 1\nstart 0 0\nrecipient 0 0\n"
-        with pytest.raises(FormatError, match=r"^in\.env: grid must be at least 1x1$"):
+        with pytest.raises(FormatError, match=r"^in\.env:2: grid must be at least 1x1$"):
             parse_env_text(text, "in.env")
 
 
@@ -284,6 +284,14 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         (parse_scheme_text, TWO + "empty_filter bogus\n", 6),
         (parse_env_text, "env restaurant\nn_friends 1\ntypes a b\nprefers 1 c\n", 4),
         (parse_env_text, DELIVERY + "recipient 5 0\n", 5),
+        (parse_scheme_text, ONE + "aggregation.mode nested\nfilter.kind long_term\n", 4),
+        (parse_scheme_text, NESTED.replace("inner_op min", "inner_op bogus"), 4),
+        (parse_scheme_text, NESTED.replace("outer_op sum", "outer_op bogus"), 5),
+        (parse_env_text, RESTAURANT.replace("types a b", "types a a"), 3),
+        (parse_env_text, "env restaurant\nn_friends 0\ntypes a b\n", 2),
+        (parse_env_text, DELIVERY + "recipient 2 0\n", 5),
+        (parse_env_text, DELIVERY.replace("grid 3 1", "grid 0 1"), 2),
+        (parse_env_text, DELIVERY.replace("start 0 0", "start 5 0"), 3),
     ],
     ids=[
         "gamma-on-sum", "discounted-without-gamma", "index-out-of-range",
@@ -292,6 +300,8 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         "n_friends-twice", "types-twice", "grid-twice", "default-twice",
         "gamma-above-one", "unknown-accumulation", "zero-period", "zero-event-count",
         "unknown-op", "unknown-empty-filter", "type-not-offered", "recipient-off-grid",
+        "unknown-mode", "unknown-inner-op", "unknown-outer-op", "duplicate-types",
+        "zero-friends", "shared-recipient-cell", "empty-grid", "start-off-grid",
     ],
 )
 def test_reader_rejects_the_line(parse, text, line):
