@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--horizon", type=_int_at_least(0), required=True)
     op.add_argument("--seed", type=int, required=True, help="read only by memory_q")
     op.add_argument("--out", required=True, help="directory for result files")
-    op.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    op.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
     op.add_argument("--lookahead", type=_int_at_least(1), default=1)
     op.add_argument("--episodes", type=_int_at_least(0), default=5000)
     op.add_argument("--epsilon", type=_probability, default=0.3)

@@ -119,7 +119,8 @@ class RestaurantEnv(LabelledEnv):
     The label of a step contains `served_i` for every friend i whose
     preferred type was chosen, plus the atom `visit` on every step, so
     "every k-th restaurant" is expressible as an event-count filter without
-    special-casing.
+    special-casing.  A label depends on the action alone, so each type's
+    label is built once, at construction, and a step looks it up.
     """
 
     def __init__(self, config: RestaurantConfig):
@@ -128,20 +129,22 @@ class RestaurantEnv(LabelledEnv):
         self.alphabet = check_alphabet(
             [f"served_{i + 1}" for i in range(config.n_friends)] + ["visit"]
         )
+        self._labels = {
+            action: frozenset(
+                [f"served_{i + 1}" for i, pref in enumerate(config.preferred) if pref == action]
+                + ["visit"]
+            )
+            for action in self.actions
+        }
 
     def reset(self, seed: int) -> int:
         return 0
 
     def step(self, state: int, action: str, rng: None):
-        if action not in self.config.restaurant_types:
-            raise InvalidActionError(f"unknown restaurant type '{action}'")
-        atoms = {
-            f"served_{i + 1}"
-            for i, pref in enumerate(self.config.preferred)
-            if pref == action
-        }
-        atoms.add("visit")
-        return state + 1, frozenset(atoms)
+        try:
+            return state + 1, self._labels[action]
+        except (KeyError, TypeError):  # TypeError: an unhashable action
+            raise InvalidActionError(f"unknown restaurant type '{action}'") from None
 
     def state_id(self, state: int) -> str:
         return f"v{state}"

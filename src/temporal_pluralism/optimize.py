@@ -13,7 +13,9 @@ candidate is a `replay` of its action sequence, and `evaluations` is the
 number of candidates, computed rather than counted.  optimize_memory_q
 learns a tabular policy over the environment state augmented with the
 scheme's status state (see scheme.step_state), with the whole-trajectory
-score granted as a terminal reward; its seed drives exploration only.
+score granted as a terminal reward.  That reward is read off the status
+states the episode already stepped for its Q-table keys, so each
+transition is folded once; its seed drives exploration only.
 It takes every scheme the scorer scores, and its table needs no cap: it
 gains at most one key per step of each episode.
 """
@@ -33,6 +35,7 @@ from .scheme import (
     check_alphabet_compatibility,
     pluralism_score,
     start_state,
+    states_score,
     status_eval,
     step_state,
 )
@@ -158,8 +161,10 @@ def optimize_memory_q(
     The status state (scheme.step_state) holds all the scorer steps: the
     step index, each stakeholder's running status and discount weight, and
     each machine's state.  The whole-trajectory score arrives as a
-    terminal reward and is swept backwards through the episode: the entry
-    taken at each step is set to the best value of the row after it (no
+    terminal reward, read off the status states the episode stepped for
+    its keys (scheme.states_score, bit for bit the pluralism_score of the
+    episode), and is swept backwards through the episode: the entry taken
+    at each step is set to the best value of the row after it (no
     learning rate: on a deterministic environment each target is exact).
     Under a long-term filter the status state determines the reward, so on
     a deterministic environment the policy converges to the optimum for
@@ -185,13 +190,13 @@ def optimize_memory_q(
 
     def run_episode(explore: bool):
         state = env.reset(seed)
-        memory = start_state(status)
+        memories = [start_state(status)]
         states = [env.state_id(state)]
         acts: list = []
         labels: list = []
         path: list = []
         for _ in range(horizon):
-            key = (states[-1], memory)
+            key = (states[-1], memories[-1])
             row = q.setdefault(key, [0.0] * len(actions))
             if explore and rng.random() < epsilon:
                 ai = rng.randrange(len(actions))
@@ -199,16 +204,18 @@ def optimize_memory_q(
                 ai = row.index(max(row))
             state, label = env.step(state, actions[ai], None)
             states.append(env.state_id(state))
-            memory = step_state(status, memory, states[-2], actions[ai], states[-1], label)
+            memories.append(
+                step_state(status, memories[-1], states[-2], actions[ai], states[-1], label)
+            )
             acts.append(actions[ai])
             labels.append(label)
             path.append((key, ai))
-        return Trajectory(tuple(states), tuple(acts), tuple(labels)), path
+        return Trajectory(tuple(states), tuple(acts), tuple(labels)), memories, path
 
     for _ in range(episodes):
-        traj, path = run_episode(explore=True)
+        traj, memories, path = run_episode(explore=True)
         try:
-            bootstrap = pluralism_score(scheme, traj)
+            bootstrap = states_score(scheme, traj, memories)
         except EmptyFilterError:
             continue
         for key, ai in reversed(path):
@@ -216,6 +223,6 @@ def optimize_memory_q(
             row[ai] = bootstrap
             bootstrap = max(row)
 
-    best_traj, _ = run_episode(explore=False)
+    best_traj, _, _ = run_episode(explore=False)
     return _result(scheme, best_traj, "memory_q", episodes + 1)
 

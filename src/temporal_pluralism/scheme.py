@@ -17,7 +17,7 @@ What a scheme remembers between steps is one flat, hashable status state
 `(t, totals, weights, machine states)`: `start_state` makes it,
 `step_state` advances it by one transition, and `state_vector` reads U off
 it.  Scoring folds that step along the trajectory, and the memory_q
-learner keys its Q-table on it.
+learner keys its Q-table on it and scores its episodes from it.
 
 Scoring has two routes.  `pluralism_score` folds `step_state` down the
 trajectory; `pluralism_score_reference` recomputes every filtered prefix
@@ -315,13 +315,20 @@ class Aggregation:
 
 
 def aggregate(agg: Aggregation, vectors: Sequence) -> float:
-    """W(u_1..u_k) for k >= 1 status vectors of uniform length."""
+    """W(u_1..u_k) for k >= 1 status vectors of uniform length.
+
+    A NaN entry raises ValueError.
+    """
     if not vectors:
         raise EmptyInputError("aggregate needs at least one status vector")
     n = len(vectors[0])
     for v in vectors:
         if len(v) != n:
             raise ValueError("status vectors of differing length")
+    # sorted() cannot order a NaN, so _reduce would depend on entry order.
+    # One C-level sum is NaN whenever an entry is; only then scan exactly.
+    if math.isnan(sum(map(sum, vectors))) and any(math.isnan(x) for v in vectors for x in v):
+        raise ValueError("status vectors hold a NaN entry")
     if agg.mode == "flattened":
         return _reduce(agg.op, [x for vec in vectors for x in vec])
     if agg.mode == "time_then_stakeholders":
@@ -437,6 +444,26 @@ def _empty_filter_result(scheme: Scheme, traj: Trajectory) -> float:
     )
 
 
+def _filtered_score(scheme: Scheme, traj: Trajectory, vectors: list) -> float:
+    """W over the status vectors of `traj`'s filtered times, or the scheme's
+    empty-filter result when no time passes."""
+    if not vectors:
+        return _empty_filter_result(scheme, traj)
+    return aggregate(scheme.aggregation, vectors)
+
+
+def states_score(scheme: Scheme, traj: Trajectory, states: Sequence) -> float:
+    """The score of `traj` read off its status states, where states[t] is
+    the fold of step_state over its first t steps (states[0] the start).
+
+    The same fold that status_table runs, so the score equals
+    pluralism_score bit for bit.
+    """
+    status = scheme.status
+    vectors = [state_vector(status, states[t]) for t in filter_times(scheme.filter, traj)]
+    return _filtered_score(scheme, traj, vectors)
+
+
 def status_table(scheme: Scheme, traj: Trajectory) -> list:
     """[(t, U(τ_t)) for every filtered t], folding step_state up to each t."""
     times = filter_times(scheme.filter, traj)
@@ -455,10 +482,7 @@ def status_table(scheme: Scheme, traj: Trajectory) -> list:
 
 def pluralism_score(scheme: Scheme, traj: Trajectory) -> float:
     """The scheme's score of the trajectory (incremental route)."""
-    rows = status_table(scheme, traj)
-    if not rows:
-        return _empty_filter_result(scheme, traj)
-    return aggregate(scheme.aggregation, [vec for _, vec in rows])
+    return _filtered_score(scheme, traj, [vec for _, vec in status_table(scheme, traj)])
 
 
 def pluralism_score_reference(scheme: Scheme, traj: Trajectory) -> float:
@@ -467,11 +491,9 @@ def pluralism_score_reference(scheme: Scheme, traj: Trajectory) -> float:
     Deliberately the slow literal reading of the definition; kept as a
     cross-check against the incremental route.
     """
-    times = filter_times(scheme.filter, traj)
-    if not times:
-        return _empty_filter_result(scheme, traj)
-    vectors = [status_eval(scheme.status, traj.prefix(t)) for t in times]
-    return aggregate(scheme.aggregation, vectors)
+    status = scheme.status
+    vectors = [status_eval(status, traj.prefix(t)) for t in filter_times(scheme.filter, traj)]
+    return _filtered_score(scheme, traj, vectors)
 
 
 def log_pluralism_score(scheme: Scheme, traj: Trajectory) -> float:

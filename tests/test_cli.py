@@ -278,20 +278,24 @@ EVALUATE_R3 = ("evaluate", "--env", "restaurant3.env", "--scheme",
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        OPTIMIZE_R3 + ("--method", "exhaustive", "--horizon", "-1"),
-        OPTIMIZE_R3 + ("--method", "memory_q", "--horizon", "-1"),
-        OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "3", "--lookahead", "0"),
-        OPTIMIZE_R3 + ("--method", "memory_q", "--horizon", "3", "--episodes", "-1"),
-        OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "three"),
-        EVALUATE_R3 + ("--horizon", "-2"),
+        (OPTIMIZE_R3 + ("--method", "exhaustive", "--horizon", "-1"), ">= 0, got '-1'"),
+        (OPTIMIZE_R3 + ("--method", "memory_q", "--horizon", "-1"), ">= 0, got '-1'"),
+        (OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "3", "--lookahead", "0"),
+         ">= 1, got '0'"),
+        (OPTIMIZE_R3 + ("--method", "memory_q", "--horizon", "3", "--episodes", "-1"),
+         ">= 0, got '-1'"),
+        (OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "three"), ">= 0, got 'three'"),
+        (EVALUATE_R3 + ("--horizon", "-2"), ">= 0, got '-2'"),
+        (OPTIMIZE_R3 + ("--method", "exhaustive", "--horizon", "3", "--budget", "-1"),
+         ">= 0, got '-1'"),
     ],
     ids=["exhaustive-horizon", "memory_q-horizon", "lookahead", "episodes", "not-an-integer",
-         "evaluate-horizon"],
+         "evaluate-horizon", "budget"],
 )
 def test_bad_numeric_arguments_are_usage_errors(
-    run_cli, fixtures_dir, tmp_path, monkeypatch, capsys, argv
+    run_cli, fixtures_dir, tmp_path, monkeypatch, capsys, argv, message
 ):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("PLURALISM_FIXTURE_DIR", str(fixtures_dir))
@@ -300,7 +304,7 @@ def test_bad_numeric_arguments_are_usage_errors(
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "expected an integer >=" in err
+    assert f"expected an integer {message}" in err
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "-0.1", "1.5"])

@@ -17,6 +17,7 @@ from temporal_pluralism.environment import (
     rollout,
     sequence_policy,
 )
+from temporal_pluralism.serialize import load_env
 
 
 def make_restaurant(n=3):
@@ -89,8 +90,20 @@ class TestRestaurant:
 
     def test_unknown_action(self):
         env = make_restaurant(2)
-        with pytest.raises(InvalidActionError):
+        with pytest.raises(InvalidActionError, match=r"^unknown restaurant type 'fondue'$"):
             env.step(0, "fondue", random.Random(0))
+        with pytest.raises(InvalidActionError, match=r"^unknown restaurant type '\['italian'\]'$"):
+            env.step(0, ["italian"], None)  # unhashable
+
+    @pytest.mark.parametrize("name", ["restaurant2", "restaurant3", "restaurant5", "greedy_trap"])
+    def test_each_label_follows_the_preferences(self, fixtures_dir, name):
+        env = load_env(fixtures_dir / f"{name}.env")
+        assert isinstance(env, RestaurantEnv)
+        for action in env.actions:
+            served = {
+                f"served_{i + 1}" for i, pref in enumerate(env.config.preferred) if pref == action
+            }
+            assert env.step(4, action, None) == (5, frozenset(served | {"visit"}))
 
     def test_state_counts_visits(self):
         env = make_restaurant(2)

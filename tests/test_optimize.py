@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from temporal_pluralism import optimize as optimize_module
+from temporal_pluralism import scheme as scheme_module
 from temporal_pluralism.environment import (
     RestaurantConfig,
     RestaurantEnv,
@@ -241,6 +243,23 @@ class TestMemoryQ:
         scheme = load_scheme(fixtures_dir / "greedy_trap.scheme")
         result = optimize_memory_q(env, scheme, horizon=2, episodes=500, seed=1)
         assert result.score == 5.0
+
+
+@pytest.mark.parametrize("horizon", [1, 4])
+def test_memory_q_steps_each_status_state_once(monkeypatch, horizon):
+    calls = 0
+    real_step_state = scheme_module.step_state
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real_step_state(*args)
+
+    monkeypatch.setattr(optimize_module, "step_state", counting)
+    monkeypatch.setattr(scheme_module, "step_state", counting)
+    episodes = 30
+    optimize_memory_q(distinct_env(2), count_scheme(2), horizon, episodes=episodes, seed=0)
+    assert calls == (episodes + 1) * horizon + horizon  # episodes, greedy run, _result
 
 
 def _first_then(atom, first, later):

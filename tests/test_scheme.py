@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +31,11 @@ from temporal_pluralism.scheme import (
     log_pluralism_score,
     pluralism_score,
     pluralism_score_reference,
+    start_state,
+    states_score,
     status_eval,
     status_table,
+    step_state,
 )
 
 ALPHA = ("pasta", "cake")
@@ -223,6 +228,20 @@ class TestAggregate:
     def test_ragged_vectors(self):
         with pytest.raises(ValueError):
             aggregate(NASH, [(1.0,), (1.0, 2.0)])
+
+    @pytest.mark.parametrize("op", ["product", "sum", "min", "mean"])
+    @pytest.mark.parametrize("mode", ["flattened", "time_then_stakeholders",
+                                      "stakeholders_then_time"])
+    def test_a_nan_entry_is_refused_in_any_position(self, mode, op):
+        agg = (Aggregation(op=op) if mode == "flattened"
+               else Aggregation(mode=mode, inner_op=op, outer_op=op))
+        for entries in itertools.permutations((1.0, math.nan, 0.5)):
+            for vectors in ([entries], [(x,) for x in entries]):
+                with pytest.raises(ValueError, match="NaN"):
+                    aggregate(agg, vectors)
+
+    def test_opposite_infinities_are_not_a_nan_entry(self):
+        assert aggregate(Aggregation(op="min"), [(math.inf, -math.inf, 1.0)]) == -math.inf
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -449,6 +468,38 @@ def test_status_table_matches_scratch(scheme, traj):
     assert [t for t, _ in rows] == list(range(1, traj.horizon + 1))
     for t, vec in rows:
         assert vec == status_eval(scheme.status, traj.prefix(t))
+
+
+# the learner's reward, read off the states of its own fold, is the score
+
+neutral_schemes = st.builds(
+    Scheme,
+    status=st.lists(stakeholder_statuses(), min_size=1, max_size=3).map(
+        lambda sts: StatusFunction(tuple(sts))
+    ),
+    aggregation=st.builds(Aggregation, op=st.sampled_from(("product", "sum"))),
+    filter=filters,
+    empty_filter=st.just("neutral"),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(schemes, neutral_schemes),
+    st.lists(st.frozensets(st.sampled_from(ALPHA)), max_size=6).map(traj_from_labels),
+)
+def test_states_score_equals_pluralism_score_bit_for_bit(scheme, traj):
+    status = scheme.status
+    states = [start_state(status)]
+    for s, a, s2, label in zip(traj.states, traj.actions, traj.states[1:], traj.labels):
+        states.append(step_state(status, states[-1], s, a, s2, label))
+    try:
+        expected = pluralism_score(scheme, traj)
+    except EmptyFilterError as err:
+        with pytest.raises(EmptyFilterError, match=re.escape(str(err))):
+            states_score(scheme, traj, states)
+        return
+    assert repr(states_score(scheme, traj, states)) == repr(expected)  # -0.0 included
 
 
 # ---------------------------------------------------------------------------
