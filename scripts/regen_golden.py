@@ -36,7 +36,8 @@ RESULT_FILES = ("result.txt", "statuses.csv", "best.traj")
 def commands() -> list:
     """Every golden command as an argv list, OUT standing for its output dir."""
     names = sorted(p.name for p in FIXTURES.iterdir())
-    envs, schemes, trajs = ([n for n in names if n.endswith(s)] for s in (".env", ".scheme", ".traj"))
+    envs, schemes, trajs = ([n for n in names if n.endswith(suffix)]
+                            for suffix in (".env", ".scheme", ".traj"))
     out = []
     for env in envs:
         for scheme in schemes:
@@ -61,13 +62,10 @@ def run(argv: list, out_dir: Path) -> str:
     """The golden line of one command, run with OUT replaced by `out_dir`."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = cli_main([str(out_dir) if a == "OUT" else a for a in argv])
-        except SystemExit as err:  # argparse usage errors
-            code = err.code
-    shown = [text.replace(str(out_dir), "OUT") for text in (stdout.getvalue(), stderr.getvalue())]
+        code = cli_main([str(out_dir) if a == "OUT" else a for a in argv])
     files = " ".join(_digest(out_dir / name) for name in RESULT_FILES)
-    return f"{' '.join(argv)} | exit {code} | out {shown[0]!r} | err {shown[1]!r} | files {files}"
+    return (f"{' '.join(argv)} | exit {code} | out {stdout.getvalue()!r} "
+            f"| err {stderr.getvalue()!r} | files {files}")
 
 
 def golden_lines() -> list:

@@ -1,11 +1,12 @@
 """Labelled sequential environments and the trajectories they produce.
 
 An environment steps through states under chosen actions and labels each
-transition with the set of atomic propositions that hold on it.  `replay`
-is the only loop that steps one, and it hands the environment no
-randomness, so a trajectory is a function of its action sequence and
-exhaustive search is an exact oracle.  Stochasticity enters only through
-the seeded stream `rollout` hands to policies.
+transition with the set of atomic propositions that hold on it.  Two
+loops step one: `replay`, through a given action sequence, and memory_q's
+episode, whose next action depends on the state just reached.  Neither
+hands the environment randomness, so a trajectory is a function of its
+action sequence and exhaustive search is an exact oracle.  Stochasticity
+enters only through the seeded stream `rollout` hands to policies.
 """
 
 from __future__ import annotations
@@ -203,6 +204,7 @@ class DeliveryGridEnv(LabelledEnv):
             [f"delivered_{i + 1}" for i in range(len(config.recipients))]
             + ["round_complete"]
         )
+        self._recipient_at = {cell: i for i, cell in enumerate(config.recipients)}
 
     def reset(self, seed: int):
         x, y = self.config.start
@@ -217,18 +219,14 @@ class DeliveryGridEnv(LabelledEnv):
             nx = min(max(x + dx, 0), self.config.width - 1)
             ny = min(max(y + dy, 0), self.config.height - 1)
             return (nx, ny, done), frozenset()
-        # deliver
-        atoms: set = set()
-        new_done = list(done)
-        for i, cell in enumerate(self.config.recipients):
-            if cell == (x, y) and not done[i]:
-                new_done[i] = True
-                atoms.add(f"delivered_{i + 1}")
-                break
-        if atoms and all(new_done):
-            atoms.add("round_complete")
-            new_done = [False] * len(new_done)
-        return (x, y, tuple(new_done)), frozenset(atoms)
+        i = self._recipient_at.get((x, y))  # deliver
+        if i is None or done[i]:
+            return state, frozenset()
+        done = done[:i] + (True,) + done[i + 1:]
+        if all(done):
+            label = frozenset([f"delivered_{i + 1}", "round_complete"])
+            return (x, y, (False,) * len(done)), label
+        return (x, y, done), frozenset([f"delivered_{i + 1}"])
 
     def state_id(self, state) -> str:
         x, y, done = state
@@ -237,7 +235,7 @@ class DeliveryGridEnv(LabelledEnv):
 
 
 def replay(env: LabelledEnv, actions: Iterable[str], seed: int = 0) -> Trajectory:
-    """The one loop that steps an environment: `actions` from a fresh reset.
+    """The trajectory of `actions` from a fresh reset.
 
     Each action is read just before its own step, so a lazy stream (see
     rollout) picks it with every earlier step already taken.  The env is

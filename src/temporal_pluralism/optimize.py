@@ -189,7 +189,7 @@ def optimize_memory_q(
     q: dict = {}
 
     def run_episode(explore: bool):
-        state = env.reset(seed)
+        state = env.reset(0)
         memories = [start_state(status)]
         states = [env.state_id(state)]
         acts: list = []

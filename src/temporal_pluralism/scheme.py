@@ -5,7 +5,8 @@ parts compose:
 
   * a status function U mapping every trajectory prefix to an n-vector,
     one entry per stakeholder, built from per-stakeholder reward sources
-    and an accumulation rule;
+    and one accumulation rule, `total += weight * r; weight *= gamma`
+    (`sum` and `mean` are that rule at gamma 1, `mean` then divides by t);
   * a filter B selecting which prefix lengths of (1..T) count at all;
   * an extended aggregation W collapsing the selected status vectors into
     one real number.
@@ -69,19 +70,11 @@ class MachineSource:
     """
 
     machine: RewardMachine
-    path: str = None
+    path: str = field(default=None, compare=False)
     atoms: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", frozenset(self.machine.alphabet))
-
-    def __eq__(self, other):
-        if not isinstance(other, MachineSource):
-            return NotImplemented
-        return self.machine == other.machine
-
-    def __hash__(self):
-        return hash(self.machine.states)
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,7 @@ class MarkovTableSource:
 
     rewards: Mapping
     default: float = 0.0
-    path: str = None
+    path: str = field(default=None, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.default):
@@ -99,12 +92,7 @@ class MarkovTableSource:
             if not math.isfinite(r):
                 raise ValueError(f"markov reward of {key} must be finite, got {r}")
 
-    def __eq__(self, other):
-        if not isinstance(other, MarkovTableSource):
-            return NotImplemented
-        return dict(self.rewards) == dict(other.rewards) and self.default == other.default
-
-    def __hash__(self):
+    def __hash__(self):  # the rewards are a dict
         return hash((frozenset(self.rewards.items()), self.default))
 
 
@@ -117,7 +105,9 @@ _ACCUMULATIONS = ("sum", "discounted", "mean")
 class StakeholderStatus:
     """One stakeholder's reward source plus how per-step rewards accumulate.
 
-    `discounted` weights step t by gamma^(t-1); gamma must lie in (0, 1].
+    Every accumulation weights step t by gamma^(t-1).  `discounted` takes
+    gamma in (0, 1]; `sum` and `mean` take only gamma 1, and `mean` divides
+    the total by t.
     """
 
     source: StatusSource
@@ -127,18 +117,31 @@ class StakeholderStatus:
     def __post_init__(self):
         if self.accumulation not in _ACCUMULATIONS:
             raise FieldError(f"unknown accumulation '{self.accumulation}'", "accumulation")
-        if self.accumulation == "discounted" and not 0.0 < self.gamma <= 1.0:
+        if self.accumulation != "discounted" and self.gamma != 1.0:
+            raise FieldError(f"{self.accumulation} needs gamma 1, got {self.gamma}", "gamma")
+        if not 0.0 < self.gamma <= 1.0:
             raise FieldError(f"gamma must be in (0, 1], got {self.gamma}", "gamma")
 
 
 @dataclass(frozen=True)
 class StatusFunction:
+    """The stakeholders, and three facts about them fixed at construction:
+    does any discount (gamma < 1), run a machine, or average?"""
+
     stakeholders: tuple[StakeholderStatus, ...]
+    discounts: bool = field(init=False, repr=False, compare=False)
+    machines: bool = field(init=False, repr=False, compare=False)
+    averages: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "stakeholders", tuple(self.stakeholders))
         if not self.stakeholders:
             raise ValueError("need at least one stakeholder")
+        sks = self.stakeholders
+        object.__setattr__(self, "discounts", any(sk.gamma != 1.0 for sk in sks))
+        object.__setattr__(self, "machines",
+                           any(isinstance(sk.source, MachineSource) for sk in sks))
+        object.__setattr__(self, "averages", any(sk.accumulation == "mean" for sk in sks))
 
     @property
     def n(self) -> int:
@@ -169,27 +172,19 @@ def _step_reward_stream(source: StatusSource, traj: Trajectory) -> list:
     raise TypeError(f"not a status source: {source!r}")
 
 
-def _accumulate(rewards: Sequence[float], accumulation: str, gamma: float) -> float:
-    total = 0.0
-    if accumulation == "discounted":
-        weight = 1.0
-        for r in rewards:
-            total += weight * r
-            weight *= gamma
-        return total
+def _accumulate(sk: StakeholderStatus, traj: Trajectory) -> float:
+    """One stakeholder's status of the whole of `traj`, from scratch."""
+    rewards = _step_reward_stream(sk.source, traj)
+    total, weight = 0.0, 1.0
     for r in rewards:
-        total += r
-    if accumulation == "mean":
-        return total / len(rewards) if rewards else 0.0
-    return total
+        total += weight * r
+        weight *= sk.gamma
+    return total / len(rewards) if sk.accumulation == "mean" and rewards else total
 
 
 def status_eval(status: StatusFunction, traj: Trajectory) -> tuple:
     """U(τ): the status vector of one prefix, computed from scratch."""
-    return tuple(
-        _accumulate(_step_reward_stream(sk.source, traj), sk.accumulation, sk.gamma)
-        for sk in status.stakeholders
-    )
+    return tuple(_accumulate(sk, traj) for sk in status.stakeholders)
 
 
 def start_state(status: StatusFunction) -> tuple:
@@ -210,43 +205,32 @@ def step_state(status: StatusFunction, state: tuple, s: str, a: str, s2: str, la
     """
     t, totals, weights, machine_states = state
     new_totals, new_weights, new_machine_states = [], [], []
-    discounted = machines = False
     for sk, total, weight, mstate in zip(status.stakeholders, totals, weights, machine_states):
         src = sk.source
         if isinstance(src, AtomCountSource):
             r = 1.0 if src.atom in label else 0.0
         elif isinstance(src, MachineSource):
-            machines = True
             _check_label(label, src.atoms)
             mstate, r = step_machine(src.machine, mstate, label)
         else:
             r = src.rewards.get((s, a, s2), src.default)
-        if sk.accumulation == "discounted":
-            discounted = True
-            total += weight * r
-            weight *= sk.gamma
-        else:
-            total += r
-        new_totals.append(total)
-        new_weights.append(weight)
+        new_totals.append(total + weight * r)
+        new_weights.append(weight * sk.gamma)
         new_machine_states.append(mstate)
     # Parts no stakeholder can change stay the same tuple, so the states
     # that memory_q keeps as Q-table keys share them.
     return (
         t + 1,
         tuple(new_totals),
-        tuple(new_weights) if discounted else weights,
-        tuple(new_machine_states) if machines else machine_states,
+        tuple(new_weights) if status.discounts else weights,
+        tuple(new_machine_states) if status.machines else machine_states,
     )
 
 
 def state_vector(status: StatusFunction, state: tuple) -> tuple:
     """U(τ_t) of the prefix the state has consumed."""
     t, totals = state[0], state[1]
-    for sk in status.stakeholders:
-        if sk.accumulation == "mean":
-            break
-    else:
+    if not status.averages:
         return totals  # sum and discounted statuses are their running totals
     return tuple([
         (total / t if t else 0.0) if sk.accumulation == "mean" else total

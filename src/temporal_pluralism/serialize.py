@@ -319,7 +319,7 @@ def markov_table_to_text(source: MarkovTableSource) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_markov_table_text(text: str, path: str = None) -> MarkovTableSource:
+def parse_markov_table_text(text: str, path: str = None, name: str = None) -> MarkovTableSource:
     found = _directives(_logical_lines(text, path), path, {"default": "R", "reward": "S A S2 R"})
     lineno, (token,) = _once(found, "default", path, ["0"])
     default = _parse_real(token, lineno, path)
@@ -328,13 +328,13 @@ def parse_markov_table_text(text: str, path: str = None) -> MarkovTableSource:
         if (s, a, s2) in rewards:
             raise FormatError(f"duplicate reward entry for {(s, a, s2)}", lineno, path)
         rewards[(s, a, s2)] = _parse_real(r, lineno, path)
-    return MarkovTableSource(rewards=rewards, default=default)
+    return MarkovTableSource(rewards=rewards, default=default, path=name)
 
 
-def load_markov_table(path) -> MarkovTableSource:
+def load_markov_table(path, name: str = None) -> MarkovTableSource:
+    """The table at `path`, referred to by `name` (default: the file name)."""
     path = Path(path)
-    source = parse_markov_table_text(path.read_text(), str(path))
-    return MarkovTableSource(rewards=source.rewards, default=source.default, path=path.name)
+    return parse_markov_table_text(path.read_text(), str(path), name or path.name)
 
 
 def save_markov_table(source: MarkovTableSource, path) -> None:
@@ -428,8 +428,7 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
         elif kind == "machine":
             source = MachineSource(machine=load_machine(base / arg), path=arg)
         elif kind == "markov":
-            table = load_markov_table(base / arg)
-            source = MarkovTableSource(rewards=table.rewards, default=table.default, path=arg)
+            source = load_markov_table(base / arg, arg)
         else:
             raise FormatError(f"unknown source kind '{kind}'", lineno, path)
         acc_line, (accumulation,) = accumulations.get(i, (None, ["sum"]))

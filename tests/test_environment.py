@@ -180,6 +180,60 @@ class TestDelivery:
         with pytest.raises(ValueError):
             DeliveryConfig(width=2, height=1, start=(0, 0), recipients=((0, 0), (0, 0)))
 
+    def test_unknown_action(self, env):
+        with pytest.raises(InvalidActionError, match=r"^unknown action 'teleport'$"):
+            env.step(env.reset(0), "teleport", None)
+
+
+def scanning_delivery_step(config, state, action):
+    """A delivery step by the rule as first written: scan the recipients
+    for one on this cell still waiting for this round's good."""
+    x, y, done = state
+    if action != "deliver":
+        dx, dy = {"north": (0, 1), "south": (0, -1), "east": (1, 0), "west": (-1, 0)}[action]
+        x = min(max(x + dx, 0), config.width - 1)
+        y = min(max(y + dy, 0), config.height - 1)
+        return (x, y, done), frozenset()
+    atoms, new_done = set(), list(done)
+    for i, cell in enumerate(config.recipients):
+        if cell == (x, y) and not done[i]:
+            new_done[i] = True
+            atoms.add(f"delivered_{i + 1}")
+            break
+    if atoms and all(new_done):
+        atoms.add("round_complete")
+        new_done = [False] * len(new_done)
+    return (x, y, tuple(new_done)), frozenset(atoms)
+
+
+def generated_grid(seed):
+    rng = random.Random(seed)
+    width, height = rng.randint(2, 4), rng.randint(1, 3)
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    recipients = rng.sample(cells, rng.randint(2, 3))
+    return DeliveryConfig(width, height, rng.choice(cells), tuple(recipients))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+def test_delivery_step_matches_the_recipient_scan(fixtures_dir, seed):
+    """Every reachable state x action: the cell lookup gives the next state
+    and label the scan over recipients gives."""
+    if seed is None:
+        env = load_env(fixtures_dir / "delivery2.env")
+    else:
+        env = DeliveryGridEnv(generated_grid(seed))
+    seen = {env.reset(0)}
+    frontier = list(seen)
+    while frontier:
+        state = frontier.pop()
+        for action in env.actions:
+            nxt, label = env.step(state, action, None)
+            assert (nxt, label) == scanning_delivery_step(env.config, state, action)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    assert len(seen) >= env.config.width * env.config.height
+
 
 class TestRollout:
     def test_horizon_zero(self):

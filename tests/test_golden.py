@@ -11,17 +11,8 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "regen_golden.py"
 
 
-def _regen_golden():
-    spec = importlib.util.spec_from_file_location("regen_golden", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_fixture_outputs_match_the_golden_file():
-    regen = _regen_golden()
-    expected = regen.GOLDEN.read_text().splitlines()
-    actual = regen.golden_lines()
-    assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
-        assert got == want
+    spec = importlib.util.spec_from_file_location("regen_golden", SCRIPT)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    assert regen.golden_lines() == regen.GOLDEN.read_text().splitlines()

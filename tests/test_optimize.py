@@ -262,6 +262,16 @@ def test_memory_q_steps_each_status_state_once(monkeypatch, horizon):
     assert calls == (episodes + 1) * horizon + horizon  # episodes, greedy run, _result
 
 
+def test_memory_q_resets_the_env_as_replay_does(monkeypatch):
+    """The seed drives exploration only; the env always sees reset(0)."""
+    env = distinct_env(2)
+    seeds = []
+    real_reset = env.reset
+    monkeypatch.setattr(env, "reset", lambda seed: seeds.append(seed) or real_reset(seed))
+    optimize_memory_q(env, count_scheme(2), 3, episodes=5, seed=7)
+    assert seeds == [0] * (5 + 1)  # the episodes, then the greedy run
+
+
 def _first_then(atom, first, later):
     """A machine rewarding `first` the first time `atom` holds, `later` after."""
     alpha = ("served_1", "served_2", "visit")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temporal_pluralism.environment import RestaurantConfig, RestaurantEnv, Trajectory, replay
-from temporal_pluralism.errors import PluralismError
+from temporal_pluralism.errors import FieldError, PluralismError
 from temporal_pluralism.formula import parse_formula
 from temporal_pluralism.machine import RewardMachine, Transition
 from temporal_pluralism.scheme import (
@@ -93,6 +93,55 @@ class TestMarkovTableSource:
     def test_rewards_must_be_finite(self, x):
         with pytest.raises(ValueError, match="must be finite"):
             MarkovTableSource(rewards={("v0", "italian", "v1"): 1.0, ("v1", "sushi", "v2"): x})
+
+
+class TestSourceEquality:
+    """A source equals another by its contents; `path` only names the file
+    a scheme refers to it by."""
+
+    def test_machine_sources_of_one_machine(self):
+        a = MachineSource(dinner_machine(), path="fig2.rm")
+        b = MachineSource(dinner_machine(), path="elsewhere/dinner.rm")
+        assert a == b and hash(a) == hash(b)
+        assert a != MachineSource(tick_machine(ALPHA), path="fig2.rm")
+
+    def test_markov_tables_of_one_table(self):
+        rewards = {("s0", "go", "s1"): 2.0}
+        a = MarkovTableSource(rewards, -1.0, path="a.mt")
+        b = MarkovTableSource(dict(rewards), -1.0, path="b.mt")
+        assert a == b and hash(a) == hash(b)
+        assert a != MarkovTableSource(rewards, 0.0, path="a.mt")
+        assert a != MarkovTableSource({("s0", "go", "s1"): 3.0}, -1.0, path="a.mt")
+
+
+class TestStatusFunction:
+    @pytest.mark.parametrize("accumulation", ["sum", "mean"])
+    def test_only_discounting_takes_a_gamma_other_than_one(self, accumulation):
+        with pytest.raises(FieldError, match="needs gamma 1, got 0.5") as err:
+            StakeholderStatus(AtomCountSource("pasta"), accumulation, 0.5)
+        assert err.value.field == "gamma"
+
+    def test_its_facts_are_fixed_at_construction(self):
+        count = StakeholderStatus(AtomCountSource("pasta"))
+        machine_mean = StakeholderStatus(MachineSource(dinner_machine()), "mean")
+        discounted = StakeholderStatus(AtomCountSource("cake"), "discounted", 0.5)
+        status = StatusFunction((count, machine_mean))
+        assert (status.discounts, status.machines, status.averages) == (False, True, True)
+        status = StatusFunction((count, discounted))
+        assert (status.discounts, status.machines, status.averages) == (True, False, False)
+        assert status == StatusFunction(list(status.stakeholders))
+        with pytest.raises(TypeError):
+            StatusFunction((count,), discounts=True)
+
+    def test_a_step_shares_the_parts_no_stakeholder_changes(self):
+        status = StatusFunction((
+            StakeholderStatus(AtomCountSource("pasta")),
+            StakeholderStatus(AtomCountSource("cake"), "mean"),
+        ))
+        start = start_state(status)
+        state = step_state(status, start, "s0", "go", "s1", frozenset({"pasta"}))
+        assert state[:2] == (1, (1.0, 0.0))
+        assert state[2] is start[2] and state[3] is start[3]
 
 
 class TestStatusEval:

@@ -196,6 +196,25 @@ class TestSchemeFormat:
         assert isinstance(source, MarkovTableSource)
         assert source.rewards[("v0", "italian", "v1")] == 2.0
 
+    def test_a_markov_reference_builds_its_table_once(self, fixtures_dir, monkeypatch):
+        built = []
+        real_post_init = MarkovTableSource.__post_init__
+
+        def counting(source):
+            built.append(source.path)
+            real_post_init(source)
+
+        monkeypatch.setattr(MarkovTableSource, "__post_init__", counting)
+        scheme = load_scheme(fixtures_dir / "restaurant3_mixed.scheme")
+        assert built == ["opening_moves.mt"]
+        assert scheme.status.stakeholders[1].source.path == "opening_moves.mt"
+
+    @pytest.mark.parametrize("accumulation", ["sum", "mean"])
+    def test_a_gamma_off_discounting_is_never_read(self, accumulation):
+        text = TWO + f"accumulation 1 {accumulation}\ngamma 1 0.5\n"
+        with pytest.raises(FormatError, match=r"^7: 'gamma 1' is never read"):
+            parse_scheme_text(text)
+
     def test_saving_an_in_memory_machine_needs_a_reference(self):
         from temporal_pluralism.machine import RewardMachine, Transition
         from temporal_pluralism.formula import parse_formula
