@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import PluralismError
+from .errors import FieldError, PluralismError
 from .formula import (
     PropFormula,
     all_valuations,
@@ -112,25 +112,31 @@ class RewardMachine:
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "alphabet", check_alphabet(self.alphabet))
+        try:
+            object.__setattr__(self, "alphabet", check_alphabet(self.alphabet))
+        except ValueError as err:
+            raise FieldError(str(err), "alphabet") from None
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state names")
+        for i, state in enumerate(self.states):
+            if state in self.states[:i]:
+                raise FieldError("duplicate state names", ("states", i))
         if self.initial not in self.states:
-            raise ValueError(f"initial state '{self.initial}' not among states")
+            raise FieldError(f"initial state '{self.initial}' not among states", "initial")
         known = set(self.states)
         atoms = set(self.alphabet)
         by_source: dict = {s: [] for s in self.states}
         for i, t in enumerate(self.transitions):
             if t.source not in known:
-                raise ValueError(f"transition {i}: unknown source state '{t.source}'")
+                raise FieldError(f"transition {i}: unknown source state '{t.source}'",
+                                 ("transitions", i))
             if t.target not in known:
-                raise ValueError(f"transition {i}: unknown target state '{t.target}'")
+                raise FieldError(f"transition {i}: unknown target state '{t.target}'",
+                                 ("transitions", i))
             extra = formula_atoms(t.guard) - atoms
             if extra:
-                raise ValueError(
+                raise FieldError(
                     f"transition {i}: guard mentions atoms outside the alphabet: "
-                    + ", ".join(sorted(extra))
+                    + ", ".join(sorted(extra)), ("transitions", i)
                 )
             by_source[t.source].append((i, t))
         object.__setattr__(self, "_by_source", by_source)

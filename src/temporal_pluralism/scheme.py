@@ -148,21 +148,22 @@ class StatusFunction:
         return len(self.stakeholders)
 
 
-def _check_label(label, atoms: frozenset) -> None:
-    extra = label - atoms
-    if extra:
-        raise AlphabetMismatchError(
-            "label atoms outside the machine alphabet: " + ", ".join(sorted(extra))
-        )
+def _label_error(label, source: MachineSource, i: int) -> AlphabetMismatchError:
+    """The refusal of a label stakeholder i's machine cannot read."""
+    return AlphabetMismatchError(
+        f"stakeholder {i}: label atoms outside the machine alphabet: "
+        + ", ".join(sorted(label - source.atoms))
+    )
 
 
-def _step_reward_stream(source: StatusSource, traj: Trajectory) -> list:
-    """Raw per-step rewards of one source over the whole trajectory."""
+def _step_reward_stream(source: StatusSource, traj: Trajectory, i: int) -> list:
+    """Raw per-step rewards of stakeholder i's source over the whole trajectory."""
     if isinstance(source, AtomCountSource):
         return [1.0 if source.atom in lab else 0.0 for lab in traj.labels]
     if isinstance(source, MachineSource):
         for lab in traj.labels:
-            _check_label(lab, source.atoms)
+            if not lab <= source.atoms:
+                raise _label_error(lab, source, i)
         return list(run_machine(source.machine, traj.labels).rewards)
     if isinstance(source, MarkovTableSource):
         return [
@@ -172,9 +173,9 @@ def _step_reward_stream(source: StatusSource, traj: Trajectory) -> list:
     raise TypeError(f"not a status source: {source!r}")
 
 
-def _accumulate(sk: StakeholderStatus, traj: Trajectory) -> float:
-    """One stakeholder's status of the whole of `traj`, from scratch."""
-    rewards = _step_reward_stream(sk.source, traj)
+def _accumulate(sk: StakeholderStatus, traj: Trajectory, i: int) -> float:
+    """Stakeholder i's status of the whole of `traj`, from scratch."""
+    rewards = _step_reward_stream(sk.source, traj, i)
     total, weight = 0.0, 1.0
     for r in rewards:
         total += weight * r
@@ -184,7 +185,7 @@ def _accumulate(sk: StakeholderStatus, traj: Trajectory) -> float:
 
 def status_eval(status: StatusFunction, traj: Trajectory) -> tuple:
     """U(τ): the status vector of one prefix, computed from scratch."""
-    return tuple(_accumulate(sk, traj) for sk in status.stakeholders)
+    return tuple(_accumulate(sk, traj, i) for i, sk in enumerate(status.stakeholders, 1))
 
 
 def start_state(status: StatusFunction) -> tuple:
@@ -202,6 +203,8 @@ def step_state(status: StatusFunction, state: tuple, s: str, a: str, s2: str, la
 
     Mirrors _accumulate step for step: the same additions in the same
     order, so vectors read off the state match the scratch route exactly.
+    A zero reward keeps the total's float object, which is the same value:
+    a total starts at +0.0, so it is never -0.0, and total + ±0.0 == total.
     """
     t, totals, weights, machine_states = state
     new_totals, new_weights, new_machine_states = [], [], []
@@ -210,11 +213,14 @@ def step_state(status: StatusFunction, state: tuple, s: str, a: str, s2: str, la
         if isinstance(src, AtomCountSource):
             r = 1.0 if src.atom in label else 0.0
         elif isinstance(src, MachineSource):
-            _check_label(label, src.atoms)
+            if not label <= src.atoms:
+                # An equal stakeholder earlier in the tuple would have
+                # refused this label already, so index() finds this one.
+                raise _label_error(label, src, status.stakeholders.index(sk) + 1)
             mstate, r = step_machine(src.machine, mstate, label)
         else:
             r = src.rewards.get((s, a, s2), src.default)
-        new_totals.append(total + weight * r)
+        new_totals.append(total + weight * r if r else total)
         new_weights.append(weight * sk.gamma)
         new_machine_states.append(mstate)
     # Parts no stakeholder can change stay the same tuple, so the states
@@ -370,7 +376,13 @@ FilterFunction = Union[LongTermFilter, PeriodicFilter, AnytimeFilter, EventCount
 
 def filter_times(filt: FilterFunction, traj: Trajectory) -> tuple:
     """The increasing subsequence of (1..T) passing the filter."""
-    horizon = traj.horizon
+    return label_times(filt, traj.labels)
+
+
+def label_times(filt: FilterFunction, labels: Sequence) -> tuple:
+    """filter_times of the trajectory whose T = len(labels) steps carry
+    `labels`: the filter reads nothing else."""
+    horizon = len(labels)
     if isinstance(filt, LongTermFilter):
         return (horizon,) if horizon >= 1 else ()
     if isinstance(filt, PeriodicFilter):
@@ -380,7 +392,7 @@ def filter_times(filt: FilterFunction, traj: Trajectory) -> tuple:
     if isinstance(filt, EventCountFilter):
         out = []
         count = 0
-        for t, lab in enumerate(traj.labels, start=1):
+        for t, lab in enumerate(labels, start=1):
             if filt.atom in lab:
                 count += 1
                 if count % filt.every == 0:
@@ -420,32 +432,33 @@ class Scheme:
                 )
 
 
-def _empty_filter_result(scheme: Scheme, traj: Trajectory) -> float:
+def _empty_filter_result(scheme: Scheme, horizon: int) -> float:
     if scheme.empty_filter == "neutral":
         return _NEUTRAL[scheme.aggregation.op]
     raise EmptyFilterError(
-        f"no prefix of the horizon-{traj.horizon} trajectory passes the filter"
+        f"no prefix of the horizon-{horizon} trajectory passes the filter"
     )
 
 
-def _filtered_score(scheme: Scheme, traj: Trajectory, vectors: list) -> float:
-    """W over the status vectors of `traj`'s filtered times, or the scheme's
-    empty-filter result when no time passes."""
+def _filtered_score(scheme: Scheme, horizon: int, vectors: list) -> float:
+    """W over the status vectors of a horizon-`horizon` trajectory's
+    filtered times, or the scheme's empty-filter result when no time passes."""
     if not vectors:
-        return _empty_filter_result(scheme, traj)
+        return _empty_filter_result(scheme, horizon)
     return aggregate(scheme.aggregation, vectors)
 
 
-def states_score(scheme: Scheme, traj: Trajectory, states: Sequence) -> float:
-    """The score of `traj` read off its status states, where states[t] is
-    the fold of step_state over its first t steps (states[0] the start).
+def states_score(scheme: Scheme, labels: Sequence, states: Sequence) -> float:
+    """The score of the trajectory whose steps carry `labels`, read off its
+    status states: states[t] is the fold of step_state over its first t
+    steps (states[0] the start).
 
     The same fold that status_table runs, so the score equals
     pluralism_score bit for bit.
     """
     status = scheme.status
-    vectors = [state_vector(status, states[t]) for t in filter_times(scheme.filter, traj)]
-    return _filtered_score(scheme, traj, vectors)
+    vectors = [state_vector(status, states[t]) for t in label_times(scheme.filter, labels)]
+    return _filtered_score(scheme, len(labels), vectors)
 
 
 def status_table(scheme: Scheme, traj: Trajectory) -> list:
@@ -466,7 +479,7 @@ def status_table(scheme: Scheme, traj: Trajectory) -> list:
 
 def pluralism_score(scheme: Scheme, traj: Trajectory) -> float:
     """The scheme's score of the trajectory (incremental route)."""
-    return _filtered_score(scheme, traj, [vec for _, vec in status_table(scheme, traj)])
+    return _filtered_score(scheme, traj.horizon, [vec for _, vec in status_table(scheme, traj)])
 
 
 def pluralism_score_reference(scheme: Scheme, traj: Trajectory) -> float:
@@ -477,7 +490,7 @@ def pluralism_score_reference(scheme: Scheme, traj: Trajectory) -> float:
     """
     status = scheme.status
     vectors = [status_eval(status, traj.prefix(t)) for t in filter_times(scheme.filter, traj)]
-    return _filtered_score(scheme, traj, vectors)
+    return _filtered_score(scheme, traj.horizon, vectors)
 
 
 def log_pluralism_score(scheme: Scheme, traj: Trajectory) -> float:
@@ -491,7 +504,7 @@ def log_pluralism_score(scheme: Scheme, traj: Trajectory) -> float:
         raise PluralismError("log score needs flattened product aggregation")
     rows = status_table(scheme, traj)
     if not rows:
-        return _empty_filter_result(scheme, traj)
+        return _empty_filter_result(scheme, traj.horizon)
     entries = [x for _, vec in rows for x in vec]
     if any(x <= 0.0 for x in entries):
         raise PluralismError("log score undefined: some status entry is <= 0")

@@ -215,15 +215,11 @@ def parse_machine_text(text: str, path: str = None) -> RewardMachine:
         except PluralismError as err:
             raise FormatError(f"bad guard: {err}", lineno, path)
         transitions.append(Transition(src, guard, dst, _parse_real(reward, lineno, path)))
-    try:
-        return RewardMachine(
-            states=tuple(args[0] for _, args in found["state"]),
-            initial=initial[0][1],
-            alphabet=alphabet,
-            transitions=tuple(transitions),
-        )
-    except ValueError as err:
-        raise FormatError(str(err), path=path)
+    lines = {("states", i): lineno for i, (lineno, _) in enumerate(found["state"])}
+    lines.update({("transitions", i): lineno for i, (lineno, _) in enumerate(found["trans"])})
+    lines.update(alphabet=at, initial=initial[0][0])
+    return _at(lines, path, RewardMachine, states=tuple(args[0] for _, args in found["state"]),
+               initial=initial[0][1], alphabet=alphabet, transitions=tuple(transitions))
 
 
 def load_machine(path) -> RewardMachine:

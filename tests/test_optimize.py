@@ -1,5 +1,7 @@
+import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from temporal_pluralism.optimize import (
 )
 from temporal_pluralism.scheme import (
     Aggregation,
+    AlphabetMismatchError,
     AtomCountSource,
     EmptyFilterError,
     EventCountFilter,
@@ -36,10 +39,12 @@ from temporal_pluralism.scheme import (
     StakeholderStatus,
     StatusFunction,
     pluralism_score,
+    status_eval,
 )
 from temporal_pluralism.serialize import load_env, load_scheme
 
 NASH = Aggregation(mode="flattened", op="product")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def distinct_env(n):
@@ -247,29 +252,69 @@ class TestMemoryQ:
 
 @pytest.mark.parametrize("horizon", [1, 4])
 def test_memory_q_steps_each_status_state_once(monkeypatch, horizon):
-    calls = 0
+    """step_state runs once per distinct (node, action) link taken, plus H
+    times in _result's rescoring of the returned run."""
+    stepped = []
     real_step_state = scheme_module.step_state
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real_step_state(*args)
+    def recording(status, state, s, a, s2, label):
+        stepped.append((s, state, a))
+        return real_step_state(status, state, s, a, s2, label)
 
-    monkeypatch.setattr(optimize_module, "step_state", counting)
-    monkeypatch.setattr(scheme_module, "step_state", counting)
-    episodes = 30
-    optimize_memory_q(distinct_env(2), count_scheme(2), horizon, episodes=episodes, seed=0)
-    assert calls == (episodes + 1) * horizon + horizon  # episodes, greedy run, _result
+    monkeypatch.setattr(optimize_module, "step_state", recording)
+    monkeypatch.setattr(scheme_module, "step_state", recording)
+    optimize_memory_q(distinct_env(2), count_scheme(2), horizon, episodes=200, epsilon=1.0, seed=0)
+    learned = stepped[:-horizon]
+    assert len(set(learned)) == len(learned)
+    # A node at depth t is (v_t, the counts of t visits): t + 1 nodes with
+    # 2 links each, all taken by 200 random episodes: H(H + 1) links.
+    assert len(learned) == horizon * (horizon + 1)
 
 
 def test_memory_q_resets_the_env_as_replay_does(monkeypatch):
-    """The seed drives exploration only; the env always sees reset(0)."""
+    """The seed drives exploration only; the env is reset once, with reset(0)."""
     env = distinct_env(2)
     seeds = []
     real_reset = env.reset
     monkeypatch.setattr(env, "reset", lambda seed: seeds.append(seed) or real_reset(seed))
     optimize_memory_q(env, count_scheme(2), 3, episodes=5, seed=7)
-    assert seeds == [0] * (5 + 1)  # the episodes, then the greedy run
+    assert seeds == [0]
+
+
+@pytest.mark.parametrize("env_name", sorted(p.name for p in FIXTURES.glob("*.env")))
+def test_greedy_surrogate_vector_is_status_eval_of_the_replay(monkeypatch, env_name):
+    """Each vector greedy's surrogate scans key an extension by is
+    status_eval of the replayed prefix + extension, bit for bit."""
+    keyed, committed = [], []
+    real_aggregate, real_step = optimize_module.aggregate, optimize_module._surrogate_step
+
+    def surrogate_step(*args):
+        action, node = real_step(*args)
+        committed.append(action)
+        return action, node
+
+    monkeypatch.setattr(optimize_module, "aggregate",
+                        lambda agg, vectors: keyed.append(vectors[0]) or real_aggregate(agg, vectors))
+    monkeypatch.setattr(optimize_module, "_surrogate_step", surrogate_step)
+    env = load_env(FIXTURES / env_name)
+    for scheme_path in sorted(FIXTURES.glob("*.scheme")):
+        scheme = load_scheme(scheme_path)
+        for horizon, lookahead in itertools.product(range(6), (1, 2)):
+            keyed.clear()
+            committed.clear()
+            try:
+                optimize_greedy(env, scheme, horizon, lookahead)
+            except AlphabetMismatchError:
+                break
+            except EmptyFilterError:
+                pass  # raised by a full-horizon scan, after every surrogate scan
+            assert len(committed) == max(0, horizon - lookahead)
+            expected = [
+                status_eval(scheme.status, replay(env, tuple(committed[:t]) + ext))
+                for t in range(len(committed))
+                for ext in itertools.product(env.actions, repeat=lookahead)
+            ]
+            assert repr(keyed) == repr(expected)
 
 
 def _first_then(atom, first, later):

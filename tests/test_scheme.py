@@ -195,6 +195,16 @@ class TestStatusEval:
         with pytest.raises(AlphabetMismatchError, match="wine"):
             status_eval(status, t)
 
+    def test_foreign_atoms_name_the_stakeholder_on_both_routes(self):
+        status = StatusFunction((StakeholderStatus(AtomCountSource("wine")),
+                                 StakeholderStatus(MachineSource(dinner_machine()))))
+        scheme = Scheme(status, Aggregation(op="sum"), AnytimeFilter())
+        t = traj_from_labels([{"pasta"}, {"wine", "beer"}])
+        message = "^stakeholder 2: label atoms outside the machine alphabet: beer, wine$"
+        for score in (pluralism_score, pluralism_score_reference):
+            with pytest.raises(AlphabetMismatchError, match=message):
+                score(scheme, t)
+
     def test_gamma_bounds(self):
         with pytest.raises(ValueError):
             StakeholderStatus(AtomCountSource("pasta"), "discounted", 0.0)
@@ -546,9 +556,9 @@ def test_states_score_equals_pluralism_score_bit_for_bit(scheme, traj):
         expected = pluralism_score(scheme, traj)
     except EmptyFilterError as err:
         with pytest.raises(EmptyFilterError, match=re.escape(str(err))):
-            states_score(scheme, traj, states)
+            states_score(scheme, traj.labels, states)
         return
-    assert repr(states_score(scheme, traj, states)) == repr(expected)  # -0.0 included
+    assert repr(states_score(scheme, traj.labels, states)) == repr(expected)  # -0.0 included
 
 
 # ---------------------------------------------------------------------------

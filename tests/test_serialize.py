@@ -311,6 +311,9 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         (parse_env_text, DELIVERY + "recipient 2 0\n", 5),
         (parse_env_text, DELIVERY.replace("grid 3 1", "grid 0 1"), 2),
         (parse_env_text, DELIVERY.replace("start 0 0", "start 5 0"), 3),
+        (parse_machine_text, 'alphabet a\nstate q init\nstate r\nstate q\n', 4),
+        (parse_machine_text, 'alphabet a\nstate q init\ntrans q "!a" q 0\ntrans q "a" z 1\n', 4),
+        (parse_machine_text, "state q init\nalphabet a a\n", 2),
     ],
     ids=[
         "gamma-on-sum", "discounted-without-gamma", "index-out-of-range",
@@ -321,6 +324,7 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         "unknown-op", "unknown-empty-filter", "type-not-offered", "recipient-off-grid",
         "unknown-mode", "unknown-inner-op", "unknown-outer-op", "duplicate-types",
         "zero-friends", "shared-recipient-cell", "empty-grid", "start-off-grid",
+        "repeated-state", "unknown-target-state", "repeated-atom",
     ],
 )
 def test_reader_rejects_the_line(parse, text, line):
