@@ -5,7 +5,8 @@ Every command runs in-process through `cli.main` from inside fixtures/, so
 the paths it prints are the bare fixture names:
 
   * `optimize` of every env x scheme x method x horizon 0, 3, 5, seed 0,
-    with methods exhaustive, greedy at lookahead 2, memory_q at 300 episodes;
+    with methods exhaustive, greedy at lookahead 1 and 2, memory_q at 300
+    episodes;
   * `evaluate` of every scheme on every trajectory;
   * `validate` and `describe` of every fixture.
 
@@ -28,7 +29,8 @@ from temporal_pluralism.cli import main as cli_main
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = ROOT / "tests" / "golden" / "fixture_outputs.txt"
-METHODS = (("exhaustive",), ("greedy", "--lookahead", "2"), ("memory_q", "--episodes", "300"))
+METHODS = (("exhaustive",), ("greedy", "--lookahead", "1"), ("greedy", "--lookahead", "2"),
+           ("memory_q", "--episodes", "300"))
 HORIZONS = (0, 3, 5)
 RESULT_FILES = ("result.txt", "statuses.csv", "best.traj")
 
