@@ -1,12 +1,12 @@
 """Labelled sequential environments and the trajectories they produce.
 
 An environment steps through states under chosen actions and labels each
-transition with the set of atomic propositions that hold on it.  `replay`
-steps one through a given action sequence; the optimizers' heuristics
-also step one edge at a time from states they keep (greedy's walk from
-its committed prefix, memory_q's graph of Q-keys), each edge once.  None
-of them hands the environment randomness, so a trajectory is a function
-of its action sequence and exhaustive search is an exact oracle.
+transition with the set of atomic propositions that hold on it.  Two
+places step one: `replay`, through a given action sequence, and the
+search graph that greedy and memory_q share (optimize._Graph), one edge
+at a time from the env states it keeps, each edge once.  Neither hands
+the environment randomness, so a trajectory is a function of its action
+sequence and exhaustive search is an exact oracle.
 Stochasticity enters only through the seeded stream `rollout` hands to
 policies.
 """

@@ -6,22 +6,22 @@ and every tie anywhere breaks lexicographically in the environment's
 declared action order, which keeps golden results stable across platforms.
 
 optimize_exhaustive is the exact oracle (every action sequence within a
-budget).  optimize_greedy commits one action at a time after scoring
-d-step extensions.  Neither uses randomness, and `evaluations` is the
-number of candidates, computed rather than counted.  Every scan that
-reaches the full horizon runs _best_extension, which replays each
-candidate from reset and scores it; greedy's shorter scans walk the tree
-of extensions from its committed prefix instead (_surrogate_step), so
-each edge of that tree is stepped once.  optimize_memory_q learns a
-tabular policy over the environment state augmented with the scheme's
-status state (see scheme.step_state), with the whole-trajectory score
-granted as a terminal reward.  Its Q-keys are the nodes of a graph whose
-edges are stepped once, the first time an episode takes them; later
-episodes follow the stored links.  The reward is read off the status
-states of the nodes an episode passes, so each transition is folded
-once; its seed drives exploration only.  It takes every scheme the
-scorer scores, and its table needs no cap: it gains at most one node per
-step of each episode.
+budget); it is the one method that replays, each candidate from reset.
+optimize_greedy commits one action at a time after scoring d-step
+extensions.  Neither uses randomness, and `evaluations` is the number of
+candidates, computed rather than counted.  _best is the one loop over
+candidates for both.  optimize_memory_q learns a tabular policy over the
+environment state augmented with the scheme's status state (see
+scheme.step_state), with the whole-trajectory score granted as a
+terminal reward; its seed drives exploration only.  It takes every
+scheme the scorer scores, and its table needs no cap: it gains at most
+one node per step of each episode.
+
+Both heuristics search _Graph, whose nodes are the keys (state id,
+status state) and whose edges are stepped once, the first time a scan or
+an episode takes them.  A path of the graph is scored from the status
+states of its nodes (scheme.states_score), so each transition is folded
+once, and its Trajectory is read off the graph without a replay.
 """
 from __future__ import annotations
 
@@ -65,67 +65,95 @@ def _result(scheme: Scheme, traj: Trajectory, method: str, evaluations: int) -> 
     return PolicyResult(traj, pluralism_score(scheme, traj), method, evaluations)
 
 
-def _best_extension(env: LabelledEnv, scheme: Scheme, prefix: tuple, depth: int) -> tuple:
-    """The best `depth`-action extension of `prefix` to the full horizon.
+def _best(extensions, key):
+    """The first extension with the strictly largest key, so ties keep
+    declared action order.
 
-    Every extension is replayed from reset and keyed by the scheme's score,
-    and skipped if the filter selects no prefix (as an event-count filter
-    may).  The first strictly larger score wins, so ties keep declared
-    action order.  If nothing is scorable the last EmptyFilterError
-    surfaces.
+    An extension the scheme cannot score (the filter selects no prefix, as
+    an event-count filter may) is skipped; if nothing is scorable the last
+    EmptyFilterError surfaces.
     """
-    best_key = best_ext = skip_error = None
-    for ext in itertools.product(env.actions, repeat=depth):
+    best_key = best = skip_error = None
+    for ext in extensions:
         try:
-            key = pluralism_score(scheme, replay(env, prefix + ext))
+            value = key(ext)
         except EmptyFilterError as err:
             skip_error = err
             continue
-        if best_key is None or key > best_key:
-            best_key, best_ext = key, ext
-    if best_ext is None:
+        if best_key is None or value > best_key:
+            best_key, best = value, ext
+    if best is None:
         raise skip_error or EmptyFilterError("no scorable action sequence")
-    return best_ext
-
-
-def _children(env: LabelledEnv, status, node: tuple):
-    """(action, child) for each action in declared order, where a node is
-    (env state, state id, status state) and a child is one step later."""
-    state, sid, memory = node
-    for action in env.actions:
-        nxt, label = env.step(state, action, None)
-        nsid = env.state_id(nxt)
-        yield action, (nxt, nsid, step_state(status, memory, sid, action, nsid, label))
-
-
-def _surrogate_step(env: LabelledEnv, scheme: Scheme, node: tuple, depth: int) -> tuple:
-    """(action, child) of the first action of the best `depth`-action
-    extension from `node`, an extension ending before the horizon.
-
-    A depth-first walk in declared action order steps each edge of the
-    extension tree once.  An extension is keyed by a surrogate: the
-    aggregation applied to the status vector it reaches alone, ties broken
-    by the sorted vector (worst entry first).  That vector is bit for bit
-    status_eval of the replayed sequence (see scheme.step_state).  The
-    first strictly larger key wins, so ties keep declared action order.
-    """
-    status = scheme.status
-
-    def leaves(node, left):
-        if not left:
-            yield node[2]
-            return
-        for _, child in _children(env, status, node):
-            yield from leaves(child, left - 1)
-
-    best_key = best = None
-    for action, child in _children(env, status, node):
-        for memory in leaves(child, depth - 1):
-            vec = state_vector(status, memory)
-            key = (aggregate(scheme.aggregation, [vec]), tuple(sorted(vec)))
-            if best_key is None or key > best_key:
-                best_key, best = key, (action, child)
     return best
+
+
+class _Graph:
+    """The heuristics' search graph, each edge stepped once.
+
+    Node i is the i-th key (state id, status state) reached, kept with its
+    env state.  Edge i * k + a holds node i's successor under action a and
+    that step's label, or None until it is first taken (child).  Stepping
+    once is exact because the environment is deterministic and step_state
+    pure.  A path is its nodes from the root and the edges between them.
+    """
+
+    def __init__(self, env: LabelledEnv, status):
+        self.env, self.status, self.k = env, status, len(env.actions)
+        self.node_of, self.state_ids = {}, {}  # key -> i; one string object per state id
+        self.keys, self.env_states, self.succ, self.labels = [], [], [], []
+        state = env.reset(0)
+        self.root = self.node(state, env.state_id(state), start_state(status))
+
+    def node(self, state, sid: str, memory) -> int:
+        key = (self.state_ids.setdefault(sid, sid), memory)
+        i = self.node_of.get(key)
+        if i is None:
+            i = self.node_of[key] = len(self.keys)
+            self.keys.append(key)
+            self.env_states.append(state)
+            self.succ.extend([None] * self.k)
+            self.labels.extend([None] * self.k)
+        return i
+
+    def child(self, edge: int) -> int:
+        """The node `edge` leads to, stepped the first time it is taken."""
+        if self.succ[edge] is None:
+            i, a = divmod(edge, self.k)
+            sid, memory = self.keys[i]
+            action = self.env.actions[a]
+            state, label = self.env.step(self.env_states[i], action, None)
+            self.labels[edge] = label
+            sid2 = self.env.state_id(state)
+            self.succ[edge] = self.node(
+                state, sid2, step_state(self.status, memory, sid, action, sid2, label))
+        return self.succ[edge]
+
+    def walk(self, nodes: list, edges: list, actions) -> tuple:
+        """The path (nodes, edges), extended in place through the action
+        indices `actions`."""
+        for a in actions:
+            edges.append(nodes[-1] * self.k + a)
+            nodes.append(self.child(edges[-1]))
+        return nodes, edges
+
+    def score(self, scheme: Scheme, nodes: list, edges: list) -> float:
+        """The path's pluralism_score, bit for bit (see scheme.states_score)."""
+        labels, keys = self.labels, self.keys
+        return states_score(scheme, [labels[e] for e in edges], [keys[i][1] for i in nodes])
+
+    def trajectory(self, nodes: list, edges: list) -> Trajectory:
+        return Trajectory(
+            tuple(self.keys[i][0] for i in nodes),
+            tuple(self.env.actions[e % self.k] for e in edges),
+            tuple(self.labels[e] for e in edges),
+        )
+
+
+def _check(env: LabelledEnv, scheme: Scheme, horizon: int) -> None:
+    """The checks every optimizer makes before it searches."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    check_alphabet_compatibility(scheme, env.alphabet)
 
 
 def _exceeds(k: int, horizon: int, budget: int) -> bool:
@@ -143,16 +171,18 @@ def optimize_exhaustive(
 ) -> PolicyResult:
     """Enumerate every action sequence of the given length; exact maximum.
 
-    Candidates the scheme cannot score (the filter selects no prefix, as
-    an event-count filter may) are skipped; if nothing at all is scorable
-    the EmptyFilterError surfaces.  Ties keep the lexicographically first
+    Each candidate is replayed from reset and scored.  Candidates the
+    scheme cannot score (the filter selects no prefix, as an event-count
+    filter may) are skipped; if nothing at all is scorable the
+    EmptyFilterError surfaces.  Ties keep the lexicographically first
     sequence in declared action order.
     """
-    check_alphabet_compatibility(scheme, env.alphabet)
+    _check(env, scheme, horizon)
     k = len(env.actions)
     if _exceeds(k, horizon, budget):
         raise BudgetExceededError(f"{k}^{horizon} sequences exceed the budget {budget}")
-    best = _best_extension(env, scheme, (), horizon)
+    best = _best(itertools.product(env.actions, repeat=horizon),
+                 lambda seq: pluralism_score(scheme, replay(env, seq)))
     return _result(scheme, replay(env, best), "exhaustive", k**horizon)
 
 
@@ -164,31 +194,37 @@ def optimize_greedy(
 ) -> PolicyResult:
     """Commit one action at a time, scoring every d-step extension.
 
-    Extensions that reach the full horizon are compared by the actual
-    scheme (_best_extension); shorter ones by the surrogate of
-    _surrogate_step, which steers early play toward balance instead of
-    letting declared action order pick a favorite stakeholder forever.
-    The surrogate scans walk from the committed prefix's node, so no
-    prefix is stepped twice.  Final ties keep declared action order, so
-    lookahead == horizon reproduces the exhaustive result.
+    The committed prefix is a path of the graph, and each scan walks its
+    extensions from the path's last node.  Extensions that reach the full
+    horizon are compared by the actual scheme, read off the status states
+    of the whole path.  Shorter ones are keyed by a surrogate: the
+    aggregation applied to the status vector the extension reaches alone,
+    ties broken by the sorted vector (worst entry first), which steers
+    early play toward balance instead of letting declared action order
+    pick a favorite stakeholder forever.  That vector is bit for bit
+    status_eval of the replayed sequence (see scheme.step_state).  Ties
+    keep declared action order, so lookahead == horizon reproduces the
+    exhaustive result.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be >= 1")
-    check_alphabet_compatibility(scheme, env.alphabet)
-    chosen: tuple = ()
-    evaluations = 0
-    state = env.reset(0)
-    # The node `chosen` reaches, advanced by each surrogate scan.
-    node = (state, env.state_id(state), start_state(scheme.status))
-    while len(chosen) < horizon:
-        depth = min(lookahead, horizon - len(chosen))
-        if len(chosen) + depth < horizon:
-            action, node = _surrogate_step(env, scheme, node, depth)
-            chosen += (action,)
+    _check(env, scheme, horizon)
+    graph = _Graph(env, scheme.status)
+    k = graph.k
+    nodes, edges, evaluations = [graph.root], [], 0
+    while len(edges) < horizon:
+        depth = min(lookahead, horizon - len(edges))
+        if len(edges) + depth < horizon:
+            def key(ext):
+                leaf = graph.walk([nodes[-1]], [], ext)[0][-1]
+                vec = state_vector(scheme.status, graph.keys[leaf][1])
+                return aggregate(scheme.aggregation, [vec]), tuple(sorted(vec))
         else:
-            chosen += _best_extension(env, scheme, chosen, depth)[:1]
-        evaluations += len(env.actions) ** depth
-    return _result(scheme, replay(env, chosen), "greedy", evaluations)
+            def key(ext):
+                return graph.score(scheme, *graph.walk(nodes[:], edges[:], ext))
+        graph.walk(nodes, edges, _best(itertools.product(range(k), repeat=depth), key)[:1])
+        evaluations += k**depth
+    return _result(scheme, graph.trajectory(nodes, edges), "greedy", evaluations)
 
 
 def optimize_memory_q(
@@ -203,67 +239,32 @@ def optimize_memory_q(
 
     The status state (scheme.step_state) holds all the scorer steps: the
     step index, each stakeholder's running status and discount weight, and
-    each machine's state.  Each key is a node of a graph: env.step,
-    state_id and step_state run once per edge, the first time an episode
-    takes it, which is exact because the environment is deterministic and
-    step_state pure.  The whole-trajectory score arrives as a terminal
-    reward, read off the status states of the episode's nodes
-    (scheme.states_score, bit for bit the pluralism_score of the
-    episode), and is swept backwards through the episode: the entry taken
-    at each step is set to the best value of the row after it (no
-    learning rate: on a deterministic environment each target is exact).
-    Under a long-term filter the status state determines the reward, so on
-    a deterministic environment the policy converges to the optimum for
-    every source and accumulation.  Periodic, anytime and event-count
-    filters bank contributions (and events) the state does not hold, so
-    there learning is best-effort.  An episode whose filter passes no time
-    updates nothing.
+    each machine's state.  Each key is a node of the graph, and an episode
+    follows its stored edges, stepping only those no episode took before.
+    The whole-trajectory score arrives as a terminal reward, read off the
+    status states of the episode's nodes (scheme.states_score, bit for bit
+    the pluralism_score of the episode), and is swept backwards through the
+    episode: the entry taken at each step is set to the best value of the
+    row after it (no learning rate: on a deterministic environment each
+    target is exact).  Under a long-term filter the status state
+    determines the reward, so on a deterministic environment the policy
+    converges to the optimum for every source and accumulation.  Periodic,
+    anytime and event-count filters bank contributions (and events) the
+    state does not hold, so there learning is best-effort.  An episode
+    whose filter passes no time updates nothing.
 
     Reproducible per seed; zero episodes yield the policy that always
     takes the first declared action (empty table, lexicographic ties).
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    _check(env, scheme, horizon)
     if episodes < 0:
         raise ValueError("episodes must be >= 0")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    check_alphabet_compatibility(scheme, env.alphabet)
-    status = scheme.status
-    actions = env.actions
-    k = len(actions)
+    graph = _Graph(env, scheme.status)
+    k, root, succ, child = graph.k, graph.root, graph.succ, graph.child
+    rows = [[0.0] * k]  # node i's Q row
     rng = random.Random(seed)
-    # Node i is the i-th Q-key (state id, status state) reached, with its
-    # Q row and env state.  Edge i * k + a holds node i's successor under
-    # action a and that step's label, or None until an episode takes it.
-    node_of: dict = {}
-    keys: list = []
-    env_states: list = []
-    rows: list = []
-    succ: list = []
-    edge_labels: list = []
-    state_ids: dict = {}  # one string object per state id
-
-    def node(state, sid: str, memory) -> int:
-        key = (state_ids.setdefault(sid, sid), memory)
-        i = node_of.get(key)
-        if i is None:
-            i = node_of[key] = len(keys)
-            keys.append(key)
-            env_states.append(state)
-            rows.append([0.0] * k)
-            succ.extend([None] * k)
-            edge_labels.extend([None] * k)
-        return i
-
-    def take(edge: int) -> int:
-        """Step an edge for the first time: store its label, return its successor."""
-        i, ai = divmod(edge, k)
-        sid, memory = keys[i]
-        state, label = env.step(env_states[i], actions[ai], None)
-        edge_labels[edge] = label
-        sid2 = env.state_id(state)
-        return node(state, sid2, step_state(status, memory, sid, actions[ai], sid2, label))
 
     def run_episode(explore: bool):
         """The nodes and edges of one episode from the root."""
@@ -277,18 +278,17 @@ def optimize_memory_q(
             edge = i * k + ai
             i = succ[edge]
             if i is None:
-                i = succ[edge] = take(edge)
+                i = child(edge)
+                if i == len(rows):
+                    rows.append([0.0] * k)
             nodes.append(i)
             edges.append(edge)
         return nodes, edges
 
-    state = env.reset(0)
-    root = node(state, env.state_id(state), start_state(status))
     for _ in range(episodes):
         nodes, edges = run_episode(explore=True)
         try:
-            bootstrap = states_score(
-                scheme, [edge_labels[e] for e in edges], [keys[i][1] for i in nodes])
+            bootstrap = graph.score(scheme, nodes, edges)
         except EmptyFilterError:
             continue
         for edge in reversed(edges):
@@ -296,10 +296,5 @@ def optimize_memory_q(
             row[edge % k] = bootstrap
             bootstrap = max(row)
 
-    nodes, edges = run_episode(explore=False)
-    best_traj = Trajectory(
-        tuple(keys[i][0] for i in nodes),
-        tuple(actions[e % k] for e in edges),
-        tuple(edge_labels[e] for e in edges),
-    )
+    best_traj = graph.trajectory(*run_episode(explore=False))
     return _result(scheme, best_traj, "memory_q", episodes + 1)

@@ -69,6 +69,15 @@ class SchemaVersionError(FormatError):
     """The file declares a format version this code does not read."""
 
 
+def _read(path: Path) -> str:
+    """The text of the file every loader reads; bytes that are not UTF-8
+    are a FormatError that names the path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"not UTF-8 text (byte {err.start})", path=str(path)) from None
+
+
 def format_real(x: float) -> str:
     """Shortest exact decimal; integral doubles print as plain integers,
     and inf and nan (a score can overflow) as `inf` and `nan`."""
@@ -226,7 +235,7 @@ def load_machine(path) -> RewardMachine:
     """Parse and validate; an invalid machine raises `PATH: not a valid
     machine` followed by one problem per line."""
     path = Path(path)
-    return require_valid(parse_machine_text(path.read_text(), str(path)), str(path))
+    return require_valid(parse_machine_text(_read(path), str(path)), str(path))
 
 
 def save_machine(machine: RewardMachine, path) -> None:
@@ -297,7 +306,7 @@ def _parse_delivery(body: list, path: str) -> DeliveryGridEnv:
 
 def load_env(path) -> LabelledEnv:
     path = Path(path)
-    return parse_env_text(path.read_text(), str(path))
+    return parse_env_text(_read(path), str(path))
 
 
 def save_env(env: LabelledEnv, path) -> None:
@@ -330,7 +339,7 @@ def parse_markov_table_text(text: str, path: str = None, name: str = None) -> Ma
 def load_markov_table(path, name: str = None) -> MarkovTableSource:
     """The table at `path`, referred to by `name` (default: the file name)."""
     path = Path(path)
-    return parse_markov_table_text(path.read_text(), str(path), name or path.name)
+    return parse_markov_table_text(_read(path), str(path), name or path.name)
 
 
 def save_markov_table(source: MarkovTableSource, path) -> None:
@@ -471,7 +480,7 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
 
 def load_scheme(path) -> Scheme:
     path = Path(path)
-    return parse_scheme_text(path.read_text(), str(path), base_dir=path.parent)
+    return parse_scheme_text(_read(path), str(path), base_dir=path.parent)
 
 
 def save_scheme(scheme: Scheme, path) -> None:
@@ -506,7 +515,7 @@ def parse_trajectory_text(text: str, path: str = None) -> Trajectory:
 
 def load_trajectory(path) -> Trajectory:
     path = Path(path)
-    return parse_trajectory_text(path.read_text(), str(path))
+    return parse_trajectory_text(_read(path), str(path))
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

@@ -491,6 +491,34 @@ class TestInvalidMachine:
             assert err.startswith(f"error: {self.report(rm)}")
 
 
+class TestNotUtf8:
+    """A file that is not UTF-8 text is refused by name, with exit 1."""
+
+    BYTES = b"version 1\n\xff\xfe\n"
+
+    @pytest.mark.parametrize("suffix", [".rm", ".env", ".scheme", ".mt", ".traj"])
+    def test_validate_and_describe(self, run_cli, tmp_path, suffix):
+        bad = tmp_path / f"binary{suffix}"
+        bad.write_bytes(self.BYTES)
+        message = f"{bad}: not UTF-8 text (byte 10)"
+        code, out, err = run_cli("validate", str(bad))
+        assert (code, out) == (1, f"{bad}: INVALID\n  {message}\n")
+        code, out, err = run_cli("describe", str(bad))
+        assert (code, err) == (1, f"error: {message}\n")
+
+    def test_a_scheme_that_references_a_binary_machine(self, run_cli, tmp_path):
+        rm = tmp_path / "binary.rm"
+        rm.write_bytes(self.BYTES)
+        scheme = tmp_path / "binary_machine.scheme"
+        scheme.write_text(
+            "n 1\nsource 1 machine binary.rm\naggregation.op sum\nfilter.kind long_term\n")
+        message = f"{rm}: not UTF-8 text (byte 10)"
+        code, out, err = run_cli("validate", str(scheme))
+        assert (code, out) == (1, f"{scheme}: INVALID\n  {message}\n")
+        code, out, err = run_cli("describe", str(scheme))
+        assert (code, err) == (1, f"error: {message}\n")
+
+
 def test_an_overflowed_score_prints_inf(run_cli, fixtures_dir, tmp_path):
     (tmp_path / "big.mt").write_text("default 1e308\n")
     scheme = tmp_path / "big.scheme"

@@ -281,39 +281,60 @@ def test_memory_q_resets_the_env_as_replay_does(monkeypatch):
     assert seeds == [0]
 
 
+@pytest.mark.parametrize("lookahead, links", [(1, 8), (2, 14), (4, 20)])
+def test_greedy_steps_each_edge_once(monkeypatch, lookahead, links):
+    """step_state and env.step run once per distinct (node, action) link
+    the scans walk, plus H step_state calls in _result's rescoring."""
+    env, horizon = distinct_env(2), 4
+    stepped, env_steps = [], []
+    real_step_state, real_env_step = scheme_module.step_state, env.step
+
+    def recording(status, state, s, a, s2, label):
+        stepped.append((s, state, a))
+        return real_step_state(status, state, s, a, s2, label)
+
+    monkeypatch.setattr(optimize_module, "step_state", recording)
+    monkeypatch.setattr(scheme_module, "step_state", recording)
+    monkeypatch.setattr(env, "step", lambda *args: env_steps.append(args) or real_env_step(*args))
+    optimize_greedy(env, count_scheme(2), horizon, lookahead)
+    learned = stepped[:-horizon]
+    assert len(set(learned)) == len(learned) == len(env_steps)
+    # A node at depth t is (v_t, the counts of t visits).  Lookahead 1 walks
+    # the 2 links of each committed node; lookahead 4 walks all t + 1 nodes
+    # of depths 0-3, H(H + 1) links; lookahead 2 walks the 6 links below the
+    # root, then 4 below (v1, (1, 0)) and 4 below (v2, (2, 0)).
+    assert len(learned) == links
+
+
 @pytest.mark.parametrize("env_name", sorted(p.name for p in FIXTURES.glob("*.env")))
 def test_greedy_surrogate_vector_is_status_eval_of_the_replay(monkeypatch, env_name):
     """Each vector greedy's surrogate scans key an extension by is
-    status_eval of the replayed prefix + extension, bit for bit."""
-    keyed, committed = [], []
-    real_aggregate, real_step = optimize_module.aggregate, optimize_module._surrogate_step
-
-    def surrogate_step(*args):
-        action, node = real_step(*args)
-        committed.append(action)
-        return action, node
-
+    status_eval of the replayed prefix + extension, bit for bit, and each
+    scan commits the first action of the first extension with the largest
+    key."""
+    keyed = []
+    real_aggregate = optimize_module.aggregate
     monkeypatch.setattr(optimize_module, "aggregate",
                         lambda agg, vectors: keyed.append(vectors[0]) or real_aggregate(agg, vectors))
-    monkeypatch.setattr(optimize_module, "_surrogate_step", surrogate_step)
     env = load_env(FIXTURES / env_name)
     for scheme_path in sorted(FIXTURES.glob("*.scheme")):
         scheme = load_scheme(scheme_path)
         for horizon, lookahead in itertools.product(range(6), (1, 2)):
             keyed.clear()
-            committed.clear()
             try:
                 optimize_greedy(env, scheme, horizon, lookahead)
             except AlphabetMismatchError:
                 break
             except EmptyFilterError:
                 pass  # raised by a full-horizon scan, after every surrogate scan
-            assert len(committed) == max(0, horizon - lookahead)
-            expected = [
-                status_eval(scheme.status, replay(env, tuple(committed[:t]) + ext))
-                for t in range(len(committed))
-                for ext in itertools.product(env.actions, repeat=lookahead)
-            ]
+            extensions = list(itertools.product(env.actions, repeat=lookahead))
+            expected, committed = [], ()
+            for _ in range(max(0, horizon - lookahead)):
+                vectors = [status_eval(scheme.status, replay(env, committed + ext))
+                           for ext in extensions]
+                keys = [(real_aggregate(scheme.aggregation, [v]), tuple(sorted(v))) for v in vectors]
+                committed += extensions[keys.index(max(keys))][:1]
+                expected += vectors
             assert repr(keyed) == repr(expected)
 
 
@@ -395,6 +416,40 @@ def test_full_lookahead_matches_exhaustive_everywhere(horizon, seed):
     oracle = optimize_exhaustive(env, scheme, horizon)
     full = optimize_greedy(env, scheme, horizon, lookahead=horizon)
     assert full.trajectory == oracle.trajectory
+    assert full.score == oracle.score
+
+
+def _outcome(optimize, *args):
+    """(score, trajectory) of a run, or the message of its EmptyFilterError."""
+    try:
+        result = optimize(*args)
+    except EmptyFilterError as err:
+        return str(err)
+    return result.score, result.trajectory
+
+
+@pytest.mark.parametrize("env_name", sorted(p.name for p in FIXTURES.glob("*.env")))
+def test_full_lookahead_matches_exhaustive_on_every_fixture(env_name):
+    """Machines, Markov tables, mean and discounted accumulation, event-count
+    filters and the delivery grid, on greedy's full-horizon route."""
+    env = load_env(FIXTURES / env_name)
+    compared = 0
+    for scheme_path in sorted(FIXTURES.glob("*.scheme")):
+        scheme = load_scheme(scheme_path)
+        for horizon in range(5):
+            try:
+                oracle = _outcome(optimize_exhaustive, env, scheme, horizon)
+            except AlphabetMismatchError:
+                break
+            assert _outcome(optimize_greedy, env, scheme, horizon, max(horizon, 1)) == oracle
+            compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("optimize", [optimize_exhaustive, optimize_greedy, optimize_memory_q])
+def test_a_negative_horizon_is_refused(optimize):
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        optimize(distinct_env(2), count_scheme(2, filt=EventCountFilter("visit", 1)), -1)
 
 
 class RecordingEnv(RestaurantEnv):
