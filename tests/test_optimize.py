@@ -449,7 +449,7 @@ def test_full_lookahead_matches_exhaustive_on_every_fixture(env_name):
 @pytest.mark.parametrize("optimize", [optimize_exhaustive, optimize_greedy, optimize_memory_q])
 def test_a_negative_horizon_is_refused(optimize):
     with pytest.raises(ValueError, match="horizon must be >= 0"):
-        optimize(distinct_env(2), count_scheme(2, filt=EventCountFilter("visit", 1)), -1)
+        optimize(distinct_env(2), count_scheme(2), -1)
 
 
 class RecordingEnv(RestaurantEnv):
