@@ -14,7 +14,6 @@ Usage:
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -36,17 +35,10 @@ SCHEMES = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    horizon: int = 6
-    episodes: int = 5000
-    lookahead: int = 3
-    seed: int = 0
-
-
-def run(config: RunConfig) -> None:
+def run(args: argparse.Namespace) -> None:
+    """Print one table row per scheme and optimizer for the parsed options."""
     env = load_env(FIXTURES / "restaurant5.env")
-    print(f"five friends, horizon {config.horizon}, seed {config.seed}")
+    print(f"five friends, horizon {args.horizon}, seed {args.seed}")
     print()
     header = f"{'scheme':<12} {'optimizer':<12} {'score':>10} {'evals':>8} {'secs':>6}"
     print(header)
@@ -54,22 +46,16 @@ def run(config: RunConfig) -> None:
     for label, fname in SCHEMES:
         scheme = load_scheme(FIXTURES / fname)
         runs = (
-            ("exhaustive", lambda: optimize_exhaustive(env, scheme, config.horizon)),
-            ("greedy d=1", lambda: optimize_greedy(env, scheme, config.horizon)),
+            ("exhaustive", lambda: optimize_exhaustive(env, scheme, args.horizon)),
+            ("greedy d=1", lambda: optimize_greedy(env, scheme, args.horizon)),
             (
-                f"greedy d={config.lookahead}",
-                lambda: optimize_greedy(
-                    env, scheme, config.horizon, lookahead=config.lookahead
-                ),
+                f"greedy d={args.lookahead}",
+                lambda: optimize_greedy(env, scheme, args.horizon, lookahead=args.lookahead),
             ),
             (
                 "memory_q",
                 lambda: optimize_memory_q(
-                    env,
-                    scheme,
-                    config.horizon,
-                    episodes=config.episodes,
-                    seed=config.seed,
+                    env, scheme, args.horizon, episodes=args.episodes, seed=args.seed
                 ),
             ),
         )
@@ -94,15 +80,7 @@ def main() -> None:
     parser.add_argument("--episodes", type=int, default=5000)
     parser.add_argument("--lookahead", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    run(
-        RunConfig(
-            horizon=args.horizon,
-            episodes=args.episodes,
-            lookahead=args.lookahead,
-            seed=args.seed,
-        )
-    )
+    run(parser.parse_args())
 
 
 if __name__ == "__main__":

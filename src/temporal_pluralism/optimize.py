@@ -36,8 +36,8 @@ from .scheme import (
     Scheme,
     aggregate,
     check_alphabet_compatibility,
+    check_labels,
     pluralism_score,
-    start_state,
     state_vector,
     states_score,
     status_eval,  # not called: perfbench's tracer wraps optimize.status_eval
@@ -92,9 +92,10 @@ class _Graph:
 
     Node i is the i-th key (state id, status state) reached, kept with its
     env state.  Edge i * k + a holds node i's successor under action a and
-    that step's label, or None until it is first taken (child).  Stepping
-    once is exact because the environment is deterministic and step_state
-    pure.  A path is its nodes from the root and the edges between them.
+    that step's label, or None until it is first taken (child), when its
+    label is checked (scheme.check_labels).  Stepping once is exact because
+    the environment is deterministic and step_state pure.  A path is its
+    nodes from the root and the edges between them.
     """
 
     def __init__(self, env: LabelledEnv, status):
@@ -102,7 +103,7 @@ class _Graph:
         self.node_of, self.state_ids = {}, {}  # key -> i; one string object per state id
         self.keys, self.env_states, self.succ, self.labels = [], [], [], []
         state = env.reset(0)
-        self.root = self.node(state, env.state_id(state), start_state(status))
+        self.root = self.node(state, env.state_id(state), status.start)
 
     def node(self, state, sid: str, memory) -> int:
         key = (self.state_ids.setdefault(sid, sid), memory)
@@ -122,6 +123,7 @@ class _Graph:
             sid, memory = self.keys[i]
             action = self.env.actions[a]
             state, label = self.env.step(self.env_states[i], action, None)
+            check_labels(self.status, (label,))
             self.labels[edge] = label
             sid2 = self.env.state_id(state)
             self.succ[edge] = self.node(

@@ -15,10 +15,16 @@ The score of a trajectory is W applied to U at every filtered time.  The
 length-0 prefix is never scored: filters draw from (1..T) only.
 
 What a scheme remembers between steps is one flat, hashable status state
-`(t, totals, weights, machine states)`: `start_state` makes it,
-`step_state` advances it by one transition, and `state_vector` reads U off
-it.  Scoring folds that step along the trajectory, and the memory_q
-learner keys its Q-table on it and scores its episodes from it.
+`(t, totals, weights, machine states)`: `StatusFunction.start` is the
+empty prefix's, `step_state` advances it by one transition, and
+`state_vector` reads U off it.  Scoring folds that step along the
+trajectory, and the memory_q learner keys its Q-table on it and scores its
+episodes from it.
+
+A label some machine stakeholder cannot read is refused by one rule,
+`check_labels`, before anything steps over it: `status_table` and
+`status_eval` call it on the labels they read, and the optimizers' search
+graph on each label it steps.  So `step_state` only steps.
 
 Scoring has two routes.  `pluralism_score` folds `step_state` down the
 trajectory; `pluralism_score_reference` recomputes every filtered prefix
@@ -38,7 +44,8 @@ from .machine import RewardMachine, run_machine, step_machine
 
 
 class EmptyInputError(PluralismError):
-    """aggregate was called with zero status vectors."""
+    """aggregate was called with zero status vectors, or with vectors of
+    zero entries."""
 
 
 class EmptyFilterError(PluralismError):
@@ -71,10 +78,6 @@ class MachineSource:
 
     machine: RewardMachine
     path: str = field(default=None, compare=False)
-    atoms: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", frozenset(self.machine.alphabet))
 
 
 @dataclass(frozen=True)
@@ -125,45 +128,41 @@ class StakeholderStatus:
 
 @dataclass(frozen=True)
 class StatusFunction:
-    """The stakeholders, and three facts about them fixed at construction:
-    does any discount (gamma < 1), run a machine, or average?"""
+    """The stakeholders, and facts about them fixed at construction: does
+    any discount (gamma < 1) or average; the (stakeholder number, alphabet
+    atoms) of each machine stakeholder; and `start`, the status state of
+    the empty prefix."""
 
     stakeholders: tuple[StakeholderStatus, ...]
     discounts: bool = field(init=False, repr=False, compare=False)
-    machines: bool = field(init=False, repr=False, compare=False)
+    machines: tuple = field(init=False, repr=False, compare=False)
     averages: bool = field(init=False, repr=False, compare=False)
+    start: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "stakeholders", tuple(self.stakeholders))
         if not self.stakeholders:
             raise ValueError("need at least one stakeholder")
-        sks = self.stakeholders
+        sks, n = self.stakeholders, len(self.stakeholders)
+        machines = [sk.source.machine if isinstance(sk.source, MachineSource) else None
+                    for sk in sks]
         object.__setattr__(self, "discounts", any(sk.gamma != 1.0 for sk in sks))
-        object.__setattr__(self, "machines",
-                           any(isinstance(sk.source, MachineSource) for sk in sks))
+        object.__setattr__(self, "machines", tuple([
+            (i, frozenset(m.alphabet)) for i, m in enumerate(machines, 1) if m is not None]))
         object.__setattr__(self, "averages", any(sk.accumulation == "mean" for sk in sks))
+        object.__setattr__(self, "start", (0, (0.0,) * n, (1.0,) * n, tuple([
+            None if m is None else m.initial for m in machines])))
 
     @property
     def n(self) -> int:
         return len(self.stakeholders)
 
 
-def _label_error(label, source: MachineSource, i: int) -> AlphabetMismatchError:
-    """The refusal of a label stakeholder i's machine cannot read."""
-    return AlphabetMismatchError(
-        f"stakeholder {i}: label atoms outside the machine alphabet: "
-        + ", ".join(sorted(label - source.atoms))
-    )
-
-
-def _step_reward_stream(source: StatusSource, traj: Trajectory, i: int) -> list:
-    """Raw per-step rewards of stakeholder i's source over the whole trajectory."""
+def _step_reward_stream(source: StatusSource, traj: Trajectory) -> list:
+    """Raw per-step rewards of the source over the whole trajectory."""
     if isinstance(source, AtomCountSource):
         return [1.0 if source.atom in lab else 0.0 for lab in traj.labels]
     if isinstance(source, MachineSource):
-        for lab in traj.labels:
-            if not lab <= source.atoms:
-                raise _label_error(lab, source, i)
         return list(run_machine(source.machine, traj.labels).rewards)
     if isinstance(source, MarkovTableSource):
         return [
@@ -173,9 +172,9 @@ def _step_reward_stream(source: StatusSource, traj: Trajectory, i: int) -> list:
     raise TypeError(f"not a status source: {source!r}")
 
 
-def _accumulate(sk: StakeholderStatus, traj: Trajectory, i: int) -> float:
-    """Stakeholder i's status of the whole of `traj`, from scratch."""
-    rewards = _step_reward_stream(sk.source, traj, i)
+def _accumulate(sk: StakeholderStatus, traj: Trajectory) -> float:
+    """The stakeholder's status of the whole of `traj`, from scratch."""
+    rewards = _step_reward_stream(sk.source, traj)
     total, weight = 0.0, 1.0
     for r in rewards:
         total += weight * r
@@ -185,52 +184,39 @@ def _accumulate(sk: StakeholderStatus, traj: Trajectory, i: int) -> float:
 
 def status_eval(status: StatusFunction, traj: Trajectory) -> tuple:
     """U(τ): the status vector of one prefix, computed from scratch."""
-    return tuple(_accumulate(sk, traj, i) for i, sk in enumerate(status.stakeholders, 1))
-
-
-def start_state(status: StatusFunction) -> tuple:
-    """The status state of the empty prefix: (t, totals, weights, machine states)."""
-    n = status.n
-    machine_states = tuple([
-        sk.source.machine.initial if isinstance(sk.source, MachineSource) else None
-        for sk in status.stakeholders
-    ])
-    return 0, (0.0,) * n, (1.0,) * n, machine_states
+    check_labels(status, traj.labels)
+    return tuple(_accumulate(sk, traj) for sk in status.stakeholders)
 
 
 def step_state(status: StatusFunction, state: tuple, s: str, a: str, s2: str, label) -> tuple:
-    """The status state one transition (s, a, s2) with `label` later.
+    """The status state one transition (s, a, s2) with `label` later; the
+    fold of it from `status.start` is the status state of a prefix.
 
     Mirrors _accumulate step for step: the same additions in the same
     order, so vectors read off the state match the scratch route exactly.
     A zero reward keeps the total's float object, which is the same value:
     a total starts at +0.0, so it is never -0.0, and total + ±0.0 == total.
+    Every machine stakeholder must be able to read `label`: the callers
+    refuse one it cannot (check_labels) before they step.
     """
     t, totals, weights, machine_states = state
-    new_totals, new_weights, new_machine_states = [], [], []
+    new_totals, new_machine_states = [], []
     for sk, total, weight, mstate in zip(status.stakeholders, totals, weights, machine_states):
         src = sk.source
         if isinstance(src, AtomCountSource):
             r = 1.0 if src.atom in label else 0.0
         elif isinstance(src, MachineSource):
-            if not label <= src.atoms:
-                # An equal stakeholder earlier in the tuple would have
-                # refused this label already, so index() finds this one.
-                raise _label_error(label, src, status.stakeholders.index(sk) + 1)
             mstate, r = step_machine(src.machine, mstate, label)
         else:
             r = src.rewards.get((s, a, s2), src.default)
         new_totals.append(total + weight * r if r else total)
-        new_weights.append(weight * sk.gamma)
         new_machine_states.append(mstate)
     # Parts no stakeholder can change stay the same tuple, so the states
     # that memory_q keeps as Q-table keys share them.
-    return (
-        t + 1,
-        tuple(new_totals),
-        tuple(new_weights) if status.discounts else weights,
-        tuple(new_machine_states) if status.machines else machine_states,
-    )
+    if status.discounts:
+        weights = tuple([weight * sk.gamma for sk, weight in zip(status.stakeholders, weights)])
+    return (t + 1, tuple(new_totals), weights,
+            tuple(new_machine_states) if status.machines else machine_states)
 
 
 def state_vector(status: StatusFunction, state: tuple) -> tuple:
@@ -305,12 +291,12 @@ class Aggregation:
 
 
 def aggregate(agg: Aggregation, vectors: Sequence) -> float:
-    """W(u_1..u_k) for k >= 1 status vectors of uniform length.
+    """W(u_1..u_k) for k >= 1 status vectors of uniform length n >= 1.
 
     A NaN entry raises ValueError.
     """
-    if not vectors:
-        raise EmptyInputError("aggregate needs at least one status vector")
+    if not vectors or not vectors[0]:
+        raise EmptyInputError("aggregate needs at least one status vector of at least one entry")
     n = len(vectors[0])
     for v in vectors:
         if len(v) != n:
@@ -468,7 +454,8 @@ def status_table(scheme: Scheme, traj: Trajectory) -> list:
         return []
     status = scheme.status
     states, actions, labels = traj.states, traj.actions, traj.labels
-    state = start_state(status)
+    check_labels(status, labels[:times[-1]])
+    state = status.start
     rows = []
     for t in times:
         for i in range(state[0], t):
@@ -509,6 +496,21 @@ def log_pluralism_score(scheme: Scheme, traj: Trajectory) -> float:
     if any(x <= 0.0 for x in entries):
         raise PluralismError("log score undefined: some status entry is <= 0")
     return sum(math.log(x) for x in sorted(entries))
+
+
+def check_labels(status: StatusFunction, labels: Sequence) -> None:
+    """Refuse the first of `labels` that some machine stakeholder cannot
+    read, naming the first such stakeholder."""
+    machines = status.machines
+    if not machines:
+        return
+    for label in labels:
+        for i, atoms in machines:
+            if not label <= atoms:
+                raise AlphabetMismatchError(
+                    f"stakeholder {i}: label atoms outside the machine alphabet: "
+                    + ", ".join(sorted(label - atoms))
+                )
 
 
 def check_alphabet_compatibility(scheme: Scheme, alphabet) -> None:

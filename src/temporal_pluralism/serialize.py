@@ -30,7 +30,7 @@ from .environment import (
     Trajectory,
 )
 from .errors import PluralismError
-from .formula import parse_formula, print_formula
+from .formula import check_alphabet, parse_formula, print_formula
 from .machine import RewardMachine, Transition, require_valid
 from .optimize import PolicyResult
 from .scheme import (
@@ -79,11 +79,12 @@ def _read(path: Path) -> str:
 
 
 def format_real(x: float) -> str:
-    """Shortest exact decimal; integral doubles print as plain integers,
-    and inf and nan (a score can overflow) as `inf` and `nan`."""
+    """Shortest exact decimal; integral doubles print as plain integers
+    (-0.0 as `-0`), and inf and nan (a score can overflow) as `inf` and
+    `nan`."""
     try:
         if x == int(x) and abs(x) < 1e16:
-            return str(int(x))
+            return str(int(x)) if x or math.copysign(1.0, x) > 0 else "-0"
     except (OverflowError, ValueError):
         pass
     return repr(x)
@@ -504,12 +505,13 @@ def parse_trajectory_text(text: str, path: str = None) -> Trajectory:
     if not lines or lines[0][1][0] != "init" or len(lines[0][1]) != 2:
         raise FormatError("first line must be `init STATE`", lines[0][0] if lines else None, path)
     found = _directives(lines[1:], path, {"step": "ACTION STATE ATOMS"})
-    steps = [args for _, args in found["step"]]
+    steps = found["step"]
     return Trajectory(
-        states=(lines[0][1][1],) + tuple(state for _, state, _ in steps),
-        actions=tuple(action for action, _, _ in steps),
-        labels=tuple(frozenset() if atoms == "-" else frozenset(atoms.split(","))
-                     for _, _, atoms in steps),
+        states=(lines[0][1][1],) + tuple(state for _, (_, state, _) in steps),
+        actions=tuple(action for _, (action, _, _) in steps),
+        labels=tuple(
+            frozenset(_at(lineno, path, check_alphabet, [] if atoms == "-" else atoms.split(",")))
+            for lineno, (_, _, atoms) in steps),
     )
 
 

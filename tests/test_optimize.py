@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from temporal_pluralism import optimize as optimize_module
 from temporal_pluralism import scheme as scheme_module
 from temporal_pluralism.environment import (
+    LabelledEnv,
     RestaurantConfig,
     RestaurantEnv,
     random_policy,
@@ -450,6 +451,28 @@ def test_full_lookahead_matches_exhaustive_on_every_fixture(env_name):
 def test_a_negative_horizon_is_refused(optimize):
     with pytest.raises(ValueError, match="horizon must be >= 0"):
         optimize(distinct_env(2), count_scheme(2), -1)
+
+
+class LeakyEnv(LabelledEnv):
+    alphabet, actions = ("a",), ("go",)
+    def reset(self, seed): return 0
+    def step(self, state, action, rng): return state + 1, frozenset({"a", "z"})
+    def state_id(self, state): return f"s{state}"
+
+
+@pytest.mark.parametrize("optimize", [optimize_exhaustive, optimize_greedy, optimize_memory_q])
+def test_a_label_outside_the_declared_alphabet_is_refused_on_every_route(optimize):
+    """The env declares (a,) but labels every step {a, z}: the machine's
+    alphabet passes check_alphabet_compatibility, and each stepped label
+    is still refused."""
+    alpha = ("a",)
+    machine = RewardMachine(("s",), "s", alpha,
+                            (Transition("s", parse_formula("true", alpha), "s", 1.0),))
+    scheme = Scheme(StatusFunction((StakeholderStatus(MachineSource(machine)),)),
+                    Aggregation(op="sum"), LongTermFilter())
+    with pytest.raises(AlphabetMismatchError,
+                       match="^stakeholder 1: label atoms outside the machine alphabet: z$"):
+        optimize(LeakyEnv(), scheme, 2)
 
 
 class RecordingEnv(RestaurantEnv):

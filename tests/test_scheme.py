@@ -31,7 +31,6 @@ from temporal_pluralism.scheme import (
     log_pluralism_score,
     pluralism_score,
     pluralism_score_reference,
-    start_state,
     states_score,
     status_eval,
     status_table,
@@ -126,9 +125,12 @@ class TestStatusFunction:
         machine_mean = StakeholderStatus(MachineSource(dinner_machine()), "mean")
         discounted = StakeholderStatus(AtomCountSource("cake"), "discounted", 0.5)
         status = StatusFunction((count, machine_mean))
-        assert (status.discounts, status.machines, status.averages) == (False, True, True)
+        assert (status.discounts, status.averages) == (False, True)
+        assert status.machines == ((2, frozenset(ALPHA)),)
+        assert status.start == (0, (0.0, 0.0), (1.0, 1.0), (None, "u0"))
         status = StatusFunction((count, discounted))
-        assert (status.discounts, status.machines, status.averages) == (True, False, False)
+        assert (status.discounts, status.machines, status.averages) == (True, (), False)
+        assert status.start == (0, (0.0, 0.0), (1.0, 1.0), (None, None))
         assert status == StatusFunction(list(status.stakeholders))
         with pytest.raises(TypeError):
             StatusFunction((count,), discounts=True)
@@ -138,7 +140,7 @@ class TestStatusFunction:
             StakeholderStatus(AtomCountSource("pasta")),
             StakeholderStatus(AtomCountSource("cake"), "mean"),
         ))
-        start = start_state(status)
+        start = status.start
         state = step_state(status, start, "s0", "go", "s1", frozenset({"pasta"}))
         assert state[:2] == (1, (1.0, 0.0))
         assert state[2] is start[2] and state[3] is start[3]
@@ -201,6 +203,16 @@ class TestStatusEval:
         scheme = Scheme(status, Aggregation(op="sum"), AnytimeFilter())
         t = traj_from_labels([{"pasta"}, {"wine", "beer"}])
         message = "^stakeholder 2: label atoms outside the machine alphabet: beer, wine$"
+        for score in (pluralism_score, pluralism_score_reference):
+            with pytest.raises(AlphabetMismatchError, match=message):
+                score(scheme, t)
+        # Step order first, then stakeholder order: {a} is step 1, and only
+        # stakeholder 2's machine cannot read it.
+        status = StatusFunction((StakeholderStatus(MachineSource(tick_machine(("a",)))),
+                                 StakeholderStatus(MachineSource(tick_machine(("b",))))))
+        scheme = Scheme(status, Aggregation(op="sum"), LongTermFilter())
+        t = traj_from_labels([{"a"}, {"b"}])
+        message = "^stakeholder 2: label atoms outside the machine alphabet: a$"
         for score in (pluralism_score, pluralism_score_reference):
             with pytest.raises(AlphabetMismatchError, match=message):
                 score(scheme, t)
@@ -283,6 +295,9 @@ class TestAggregate:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             aggregate(NASH, [])
+        for op in ("product", "sum", "min", "mean"):
+            with pytest.raises(EmptyInputError, match="at least one entry"):
+                aggregate(Aggregation(op=op), [()])
 
     def test_ragged_vectors(self):
         with pytest.raises(ValueError):
@@ -549,7 +564,7 @@ neutral_schemes = st.builds(
 )
 def test_states_score_equals_pluralism_score_bit_for_bit(scheme, traj):
     status = scheme.status
-    states = [start_state(status)]
+    states = [status.start]
     for s, a, s2, label in zip(traj.states, traj.actions, traj.states[1:], traj.labels):
         states.append(step_state(status, states[-1], s, a, s2, label))
     try:

@@ -44,3 +44,29 @@ def test_regen_fixtures_reproduces_the_fixtures(tmp_path):
     assert written == sorted(p.name for p in FIXTURES.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+SNIPPET = '''"""A module docstring
+over two lines."""
+import os  # a comment
+
+# a lone comment
+
+
+def f(x):
+    """A docstring."""
+    s = """a string
+that is not a docstring"""
+    return x + len(s)
+'''
+
+
+def test_code_lines_counts_only_code(tmp_path):
+    """import, def, the two lines of the assigned string, and return."""
+    (tmp_path / "m.py").write_text(SNIPPET)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"5 {tmp_path / 'm.py'}\n5 total\n"

@@ -314,6 +314,9 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         (parse_machine_text, 'alphabet a\nstate q init\nstate r\nstate q\n', 4),
         (parse_machine_text, 'alphabet a\nstate q init\ntrans q "!a" q 0\ntrans q "a" z 1\n', 4),
         (parse_machine_text, "state q init\nalphabet a a\n", 2),
+        (parse_trajectory_text, "init s0\nstep go s1 a\nstep go s2 ,\n", 3),
+        (parse_trajectory_text, "init s0\nstep go s1 A-B\n", 2),
+        (parse_trajectory_text, "init s0\nstep go s1 -\nstep go s2 a,a\n", 3),
     ],
     ids=[
         "gamma-on-sum", "discounted-without-gamma", "index-out-of-range",
@@ -325,6 +328,7 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         "unknown-mode", "unknown-inner-op", "unknown-outer-op", "duplicate-types",
         "zero-friends", "shared-recipient-cell", "empty-grid", "start-off-grid",
         "repeated-state", "unknown-target-state", "repeated-atom",
+        "empty-label-atom", "label-atom-not-a-name", "label-atom-twice",
     ],
 )
 def test_reader_rejects_the_line(parse, text, line):
@@ -374,6 +378,7 @@ class TestFormatReal:
         "value,text",
         [
             (0.0, "0"),
+            (-0.0, "-0"),
             (8.0, "8"),
             (-3.0, "-3"),
             (0.5, "0.5"),
@@ -387,7 +392,7 @@ class TestFormatReal:
 
     @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
     def test_always_parses_back_exactly(self, x):
-        assert float(format_real(x)) == x
+        assert float(format_real(x)).hex() == x.hex()  # sign and bits: -0.0 != 0.0 here
 
 
 class TestWriteResults:
