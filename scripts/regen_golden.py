@@ -8,6 +8,7 @@ the paths it prints are the bare fixture names:
     with methods exhaustive, greedy at lookahead 1 and 2, memory_q at 300
     episodes;
   * `evaluate` of every scheme on every trajectory;
+  * `compare` of every trajectory under all schemes;
   * `validate` and `describe` of every fixture.
 
 Each command gives one line: its arguments, exit code, stdout, stderr and a
@@ -50,6 +51,8 @@ def commands() -> list:
     for scheme in schemes:
         for traj in trajs:
             out.append(["evaluate", "--scheme", scheme, "--traj", traj, "--out", "OUT"])
+    for traj in trajs:
+        out.append(["compare", "--traj", traj, "--schemes", ",".join(schemes)])
     for name in names:
         out.append(["validate", name])
         out.append(["describe", name])
