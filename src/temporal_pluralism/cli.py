@@ -166,9 +166,9 @@ def cmd_compare(args) -> int:
     if len(names) < 2:
         args.parser.error("--schemes needs at least two comma-separated scheme files")
     traj = load_trajectory(resolve_path(args.traj))
+    schemes = [(given, load_scheme(resolve_path(given))) for given in names]
     print("scheme k score")
-    for given in names:
-        scheme = load_scheme(resolve_path(given))
+    for given, scheme in schemes:
         k = len(filter_times(scheme.filter, traj))
         try:
             shown = format_real(pluralism_score(scheme, traj))

@@ -206,13 +206,17 @@ def optimize_greedy(
     pick a favorite stakeholder forever.  That vector is bit for bit
     status_eval of the replayed sequence (see scheme.step_state).  Ties
     keep declared action order, so lookahead == horizon reproduces the
-    exhaustive result.
+    exhaustive result.  A scan of more than DEFAULT_BUDGET extensions
+    is refused before the first step, as exhaustive search refuses one.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be >= 1")
     _check(env, scheme, horizon)
+    k, scan = len(env.actions), min(lookahead, horizon)
+    if _exceeds(k, scan, DEFAULT_BUDGET):
+        raise BudgetExceededError(
+            f"{k}^{scan} extensions per scan exceed the budget {DEFAULT_BUDGET}")
     graph = _Graph(env, scheme.status)
-    k = graph.k
     nodes, edges, evaluations = [graph.root], [], 0
     while len(edges) < horizon:
         depth = min(lookahead, horizon - len(edges))

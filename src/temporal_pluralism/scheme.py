@@ -40,6 +40,7 @@ from typing import Mapping, Sequence, Union
 
 from .environment import Trajectory
 from .errors import FieldError, PluralismError
+from .formula import is_proposition_name
 from .machine import RewardMachine, run_machine, step_machine
 
 
@@ -60,11 +61,21 @@ class AlphabetMismatchError(PluralismError):
 # status sources
 
 
+def _require_name(atom: str) -> None:
+    """Refuse an `atom` no label can hold: one that is not a proposition
+    name (a FieldError tagged `atom`)."""
+    if not is_proposition_name(atom):
+        raise FieldError(f"invalid proposition name '{atom}'", "atom")
+
+
 @dataclass(frozen=True)
 class AtomCountSource:
     """Reward 1 on every step whose label contains `atom`, else 0."""
 
     atom: str
+
+    def __post_init__(self):
+        _require_name(self.atom)
 
 
 @dataclass(frozen=True)
@@ -353,8 +364,9 @@ class EventCountFilter:
     every: int
 
     def __post_init__(self):
+        _require_name(self.atom)
         if self.every < 1:
-            raise ValueError("event count must be >= 1")
+            raise FieldError("event count must be >= 1", "every")
 
 
 FilterFunction = Union[LongTermFilter, PeriodicFilter, AnytimeFilter, EventCountFilter]

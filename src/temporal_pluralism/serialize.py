@@ -1,12 +1,13 @@
 """Line-oriented text formats for machines, environments, schemes,
 trajectories, and optimizer results.
 
-Every format is diffable text: `#` starts a comment, blank lines are
-ignored, tokens follow shell quoting rules (guards with spaces are
-quoted).  Files may start with a `version 1` header; writers always emit
-one.  Writers are canonical (fixed line order, fixed real formatting), so
-save -> load -> save reproduces a file byte for byte.  Readers build from
-one pass, _directives, which holds the line rules all formats share.
+Every format is diffable UTF-8 text: `#` starts a comment, blank lines
+are ignored, tokens follow shell quoting rules.  Files may start with a
+`version 1` header; writers always emit one.  Writers are canonical (fixed
+line order, fixed real formatting), so save -> load -> save reproduces a
+file byte for byte.  Readers build from one pass, _directives, which holds
+the line rules all formats share; writers render through one function,
+_text, its mirror, and write through _write, the mirror of _read.
 
 Reals are written as the shortest string that parses back to the same
 double, with integral values written as plain integers.
@@ -76,6 +77,39 @@ def _read(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise FormatError(f"not UTF-8 text (byte {err.start})", path=str(path)) from None
+
+
+def _write(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8 with `\n` line ends, whatever the
+    locale: the text every loader reads back."""
+    Path(path).write_bytes(text.encode("utf-8"))
+
+
+class _Guard(str):
+    """A printed guard formula, a token _text writes in double quotes."""
+
+
+def _token(token) -> str:
+    """`token` (a string, or an int) as _logical_lines reads it back: as it
+    is where the reader would give back just it, else shell-quoted.  A
+    token with a line break cannot be written."""
+    if isinstance(token, _Guard):
+        return f'"{token}"'
+    token = str(token)
+    if token.splitlines() not in ([], [token]):
+        raise ValueError(f"a token with a line break cannot be written: {token!r}")
+    # A quote or a backslash never reads back as itself (and alone, it
+    # does not read at all), so only a token without them can stay bare.
+    if not any(c in token for c in "'\"\\") and shlex.split(token, comments=True) == [token]:
+        return token
+    return shlex.quote(token)
+
+
+def _text(lines) -> str:
+    """The file text of `lines`, directives (keyword, *tokens): the
+    `version 1` header, then one line per directive, tokens as _token
+    writes them."""
+    return "".join(" ".join(map(_token, line)) + "\n" for line in [("version", 1), *lines])
 
 
 def format_real(x: float) -> str:
@@ -195,14 +229,13 @@ def _parse_int(token: str, lineno: int, path: str) -> int:
 
 
 def machine_to_text(machine: RewardMachine) -> str:
-    lines = ["version 1"]
-    lines.append("alphabet " + " ".join(machine.alphabet))
+    lines = [("alphabet", *machine.alphabet)]
     for s in machine.states:
-        lines.append(f"state {s} init" if s == machine.initial else f"state {s}")
+        lines.append(("state", s, "init") if s == machine.initial else ("state", s))
     for t in machine.transitions:
-        guard = print_formula(t.guard)
-        lines.append(f'trans {t.source} "{guard}" {t.target} {format_real(t.reward)}')
-    return "\n".join(lines) + "\n"
+        guard = _Guard(print_formula(t.guard))
+        lines.append(("trans", t.source, guard, t.target, format_real(t.reward)))
+    return _text(lines)
 
 
 def parse_machine_text(text: str, path: str = None) -> RewardMachine:
@@ -240,7 +273,7 @@ def load_machine(path) -> RewardMachine:
 
 
 def save_machine(machine: RewardMachine, path) -> None:
-    Path(path).write_text(machine_to_text(machine))
+    _write(path, machine_to_text(machine))
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +283,16 @@ def save_machine(machine: RewardMachine, path) -> None:
 def env_to_text(env: LabelledEnv) -> str:
     if isinstance(env, RestaurantEnv):
         cfg = env.config
-        lines = ["version 1", "env restaurant", f"n_friends {cfg.n_friends}"]
-        lines.append("types " + " ".join(cfg.restaurant_types))
-        for i, pref in enumerate(cfg.preferred, start=1):
-            lines.append(f"prefers {i} {pref}")
-        return "\n".join(lines) + "\n"
-    if isinstance(env, DeliveryGridEnv):
+        lines = [("env", "restaurant"), ("n_friends", cfg.n_friends),
+                 ("types", *cfg.restaurant_types)]
+        lines += [("prefers", i, pref) for i, pref in enumerate(cfg.preferred, start=1)]
+    elif isinstance(env, DeliveryGridEnv):
         cfg = env.config
-        lines = ["version 1", "env delivery_grid", f"grid {cfg.width} {cfg.height}"]
-        lines.append(f"start {cfg.start[0]} {cfg.start[1]}")
-        for x, y in cfg.recipients:
-            lines.append(f"recipient {x} {y}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"no text form for {type(env).__name__}")
+        lines = [("env", "delivery_grid"), ("grid", cfg.width, cfg.height), ("start", *cfg.start)]
+        lines += [("recipient", x, y) for x, y in cfg.recipients]
+    else:
+        raise ValueError(f"no text form for {type(env).__name__}")
+    return _text(lines)
 
 
 def parse_env_text(text: str, path: str = None) -> LabelledEnv:
@@ -311,7 +341,7 @@ def load_env(path) -> LabelledEnv:
 
 
 def save_env(env: LabelledEnv, path) -> None:
-    Path(path).write_text(env_to_text(env))
+    _write(path, env_to_text(env))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +349,10 @@ def save_env(env: LabelledEnv, path) -> None:
 
 
 def markov_table_to_text(source: MarkovTableSource) -> str:
-    lines = ["version 1", f"default {format_real(source.default)}"]
+    lines = [("default", format_real(source.default))]
     for (s, a, s2), r in sorted(source.rewards.items()):
-        lines.append(f"reward {s} {a} {s2} {format_real(r)}")
-    return "\n".join(lines) + "\n"
+        lines.append(("reward", s, a, s2, format_real(r)))
+    return _text(lines)
 
 
 def parse_markov_table_text(text: str, path: str = None, name: str = None) -> MarkovTableSource:
@@ -344,7 +374,7 @@ def load_markov_table(path, name: str = None) -> MarkovTableSource:
 
 
 def save_markov_table(source: MarkovTableSource, path) -> None:
-    Path(path).write_text(markov_table_to_text(source))
+    _write(path, markov_table_to_text(source))
 
 
 # ---------------------------------------------------------------------------
@@ -359,40 +389,34 @@ _FILTER_NAMES = {
 
 
 def scheme_to_text(scheme: Scheme) -> str:
-    lines = ["version 1", f"n {scheme.status.n}"]
-    for i, sk in enumerate(scheme.status.stakeholders, start=1):
+    stakeholders = list(enumerate(scheme.status.stakeholders, start=1))
+    lines = [("n", scheme.status.n)]
+    for i, sk in stakeholders:
         src = sk.source
         if isinstance(src, AtomCountSource):
-            lines.append(f"source {i} count {src.atom}")
-        elif isinstance(src, MachineSource):
-            if src.path is None:
-                raise ValueError(f"stakeholder {i}: machine source has no file reference")
-            lines.append(f"source {i} machine {src.path}")
-        else:
-            if src.path is None:
-                raise ValueError(f"stakeholder {i}: markov source has no file reference")
-            lines.append(f"source {i} markov {src.path}")
-    for i, sk in enumerate(scheme.status.stakeholders, start=1):
-        lines.append(f"accumulation {i} {sk.accumulation}")
-    for i, sk in enumerate(scheme.status.stakeholders, start=1):
-        if sk.accumulation == "discounted":
-            lines.append(f"gamma {i} {format_real(sk.gamma)}")
+            lines.append(("source", i, "count", src.atom))
+            continue
+        kind = "machine" if isinstance(src, MachineSource) else "markov"
+        if src.path is None:
+            raise ValueError(f"stakeholder {i}: {kind} source has no file reference")
+        lines.append(("source", i, kind, src.path))
+    lines += [("accumulation", i, sk.accumulation) for i, sk in stakeholders]
+    lines += [("gamma", i, format_real(sk.gamma))
+              for i, sk in stakeholders if sk.accumulation == "discounted"]
     agg = scheme.aggregation
-    lines.append(f"aggregation.mode {agg.mode}")
+    lines.append(("aggregation.mode", agg.mode))
     if agg.mode == "flattened":
-        lines.append(f"aggregation.op {agg.op}")
+        lines.append(("aggregation.op", agg.op))
     else:
-        lines.append(f"aggregation.inner_op {agg.inner_op}")
-        lines.append(f"aggregation.outer_op {agg.outer_op}")
+        lines += [("aggregation.inner_op", agg.inner_op), ("aggregation.outer_op", agg.outer_op)]
     filt = scheme.filter
-    lines.append(f"filter.kind {_FILTER_NAMES[type(filt)]}")
+    lines.append(("filter.kind", _FILTER_NAMES[type(filt)]))
     if isinstance(filt, PeriodicFilter):
-        lines.append(f"filter.p {filt.period}")
+        lines.append(("filter.p", filt.period))
     elif isinstance(filt, EventCountFilter):
-        lines.append(f"filter.atom {filt.atom}")
-        lines.append(f"filter.k {filt.every}")
-    lines.append(f"empty_filter {scheme.empty_filter}")
-    return "\n".join(lines) + "\n"
+        lines += [("filter.atom", filt.atom), ("filter.k", filt.every)]
+    lines.append(("empty_filter", scheme.empty_filter))
+    return _text(lines)
 
 
 _SCHEME_ARITY = {
@@ -430,7 +454,7 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
     for i in range(1, n + 1):
         lineno, (kind, arg) = sources[i]
         if kind == "count":
-            source = AtomCountSource(arg)
+            source = _at(lineno, path, AtomCountSource, arg)
         elif kind == "machine":
             source = MachineSource(machine=load_machine(base / arg), path=arg)
         elif kind == "markov":
@@ -463,9 +487,9 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
         lineno, period = integer("filter.p")
         filt = _at(lineno, path, PeriodicFilter, period)
     elif kind == "event_count":
-        _, (atom,) = _once(found, "filter.atom", path)
+        atom_line, (atom,) = _once(found, "filter.atom", path)
         lineno, every = integer("filter.k")
-        filt = _at(lineno, path, EventCountFilter, atom, every)
+        filt = _at({"atom": atom_line, "every": lineno}, path, EventCountFilter, atom, every)
     else:
         raise FormatError(f"missing or unknown filter.kind '{kind}'", lineno, path)
     status = _at(n_line, path, StatusFunction, stakeholders)
@@ -485,7 +509,7 @@ def load_scheme(path) -> Scheme:
 
 
 def save_scheme(scheme: Scheme, path) -> None:
-    Path(path).write_text(scheme_to_text(scheme))
+    _write(path, scheme_to_text(scheme))
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +517,13 @@ def save_scheme(scheme: Scheme, path) -> None:
 
 
 def trajectory_to_text(traj: Trajectory) -> str:
-    lines = ["version 1", f"init {traj.states[0]}"]
+    """The `.traj` text; a label atom that is not a proposition name is a
+    ValueError, as the reader would refuse it or read another label."""
+    lines = [("init", traj.states[0])]
     for a, s2, lab in zip(traj.actions, traj.states[1:], traj.labels):
-        atoms = ",".join(sorted(lab)) if lab else "-"
-        lines.append(f"step {a} {s2} {atoms}")
-    return "\n".join(lines) + "\n"
+        atoms = ",".join(check_alphabet(sorted(lab)))
+        lines.append(("step", a, s2, atoms or "-"))
+    return _text(lines)
 
 
 def parse_trajectory_text(text: str, path: str = None) -> Trajectory:
@@ -521,7 +547,7 @@ def load_trajectory(path) -> Trajectory:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    Path(path).write_text(trajectory_to_text(traj))
+    _write(path, trajectory_to_text(traj))
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +558,9 @@ def write_results(result: PolicyResult, scheme: Scheme, out_dir) -> None:
     """result.txt + statuses.csv + best.traj under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [
-        "version 1",
-        f"method {result.method}",
-        f"horizon {result.trajectory.horizon}",
-        f"score {format_real(result.score)}",
-        f"evaluations {result.evaluations}",
-    ]
-    (out / "result.txt").write_text("\n".join(lines) + "\n")
+    lines = [("method", result.method), ("horizon", result.trajectory.horizon),
+             ("score", format_real(result.score)), ("evaluations", result.evaluations)]
+    _write(out / "result.txt", _text(lines))
     write_status_csv(scheme, result.trajectory, out / "statuses.csv")
     save_trajectory(result.trajectory, out / "best.traj")
 
@@ -548,7 +569,7 @@ def write_status_csv(scheme: Scheme, traj: Trajectory, path) -> None:
     """One row per filtered time: t, u_1, ..., u_n."""
     rows = status_table(scheme, traj)
     n = scheme.status.n
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t"] + [f"u_{j}" for j in range(1, n + 1)])
         for t, vec in rows:

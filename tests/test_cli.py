@@ -4,7 +4,10 @@ tracebacks behave."""
 
 import contextlib
 import io
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from temporal_pluralism.scheme import pluralism_score
 from temporal_pluralism.serialize import format_real, load_scheme, load_trajectory
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestValidate:
@@ -370,6 +374,17 @@ class TestCompare:
         assert rows[1].split()[-1] == "-"
 
 
+    def test_a_missing_scheme_prints_no_row(self, run_cli, fixtures_dir, tmp_path):
+        schemes = f"{fixtures_dir / 'restaurant5_longterm_nash.scheme'},{tmp_path / 'none.scheme'}"
+        code, out, err = run_cli(
+            "compare",
+            "--traj", str(fixtures_dir / "restaurant5_sample.traj"),
+            "--schemes", schemes,
+        )
+        assert (code, out) == (1, "")
+        assert "none.scheme" in err
+
+
 class TestDescribe:
     @pytest.mark.parametrize(
         "name",
@@ -517,6 +532,25 @@ class TestNotUtf8:
         assert (code, out) == (1, f"{scheme}: INVALID\n  {message}\n")
         code, out, err = run_cli("describe", str(scheme))
         assert (code, err) == (1, f"error: {message}\n")
+
+
+def test_optimize_writes_utf8_under_an_ascii_locale(tmp_path):
+    """Result files are UTF-8 whatever the locale, so best.traj reads back."""
+    (tmp_path / "cafe.env").write_text(
+        "env restaurant\nn_friends 2\ntypes 'it alian' café\nprefers 1 'it alian'\n"
+        "prefers 2 café\n", encoding="utf-8")
+    (tmp_path / "both.scheme").write_text(
+        "n 2\nsource 1 count served_1\nsource 2 count served_2\naggregation.op product\n"
+        "filter.kind long_term\n")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONIOENCODING", None)
+    argv = [sys.executable, "-X", "utf8=0", "-m", "temporal_pluralism", "optimize",
+            "--env", "cafe.env", "--scheme", "both.scheme", "--method", "exhaustive",
+            "--horizon", "2", "--seed", "0", "--out", "out"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    traj = load_trajectory(tmp_path / "out" / "best.traj")
+    assert traj.actions == ("it alian", "café")
 
 
 def test_an_overflowed_score_prints_inf(run_cli, fixtures_dir, tmp_path):

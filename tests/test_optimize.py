@@ -140,6 +140,14 @@ class TestGreedy:
         with pytest.raises(ValueError):
             optimize_greedy(distinct_env(2), count_scheme(2), horizon=2, lookahead=0)
 
+    def test_a_scan_over_the_budget_is_refused_at_once(self, fixtures_dir):
+        env = load_env(fixtures_dir / "restaurant5.env")
+        scheme = load_scheme(fixtures_dir / "restaurant5_longterm_nash.scheme")
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"5\^12 extensions per scan"):
+            optimize_greedy(env, scheme, horizon=12, lookahead=12)
+        assert time.perf_counter() - started < 1.0
+
     def test_trap_fixture_fools_one_step_lookahead(self, fixtures_dir):
         env = load_env(fixtures_dir / "greedy_trap.env")
         scheme = load_scheme(fixtures_dir / "greedy_trap.scheme")

@@ -1,20 +1,30 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from temporal_pluralism.environment import (
     DeliveryGridEnv,
+    RestaurantConfig,
     RestaurantEnv,
     Trajectory,
     replay,
 )
-from temporal_pluralism.machine import MachineValidationError
+from temporal_pluralism.formula import ConstTrue
+from temporal_pluralism.machine import MachineValidationError, RewardMachine, Transition
 from temporal_pluralism.optimize import optimize_exhaustive
 from temporal_pluralism.scheme import (
+    Aggregation,
     AtomCountSource,
     EventCountFilter,
+    LongTermFilter,
     MachineSource,
     MarkovTableSource,
+    Scheme,
+    StakeholderStatus,
+    StatusFunction,
     pluralism_score,
 )
 from temporal_pluralism.serialize import (
@@ -24,6 +34,7 @@ from temporal_pluralism.serialize import (
     format_real,
     load_env,
     load_machine,
+    load_markov_table,
     load_scheme,
     load_trajectory,
     machine_to_text,
@@ -33,6 +44,10 @@ from temporal_pluralism.serialize import (
     parse_markov_table_text,
     parse_scheme_text,
     parse_trajectory_text,
+    save_env,
+    save_machine,
+    save_markov_table,
+    save_scheme,
     scheme_to_text,
     trajectory_to_text,
     write_results,
@@ -317,6 +332,8 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         (parse_trajectory_text, "init s0\nstep go s1 a\nstep go s2 ,\n", 3),
         (parse_trajectory_text, "init s0\nstep go s1 A-B\n", 2),
         (parse_trajectory_text, "init s0\nstep go s1 -\nstep go s2 a,a\n", 3),
+        (parse_scheme_text, "n 1\nsource 1 count A-B\naggregation.op sum\nfilter.kind anytime\n", 2),
+        (parse_scheme_text, ONE + "filter.kind event_count\nfilter.atom Q!\nfilter.k 1\n", 5),
     ],
     ids=[
         "gamma-on-sum", "discounted-without-gamma", "index-out-of-range",
@@ -329,6 +346,7 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         "zero-friends", "shared-recipient-cell", "empty-grid", "start-off-grid",
         "repeated-state", "unknown-target-state", "repeated-atom",
         "empty-label-atom", "label-atom-not-a-name", "label-atom-twice",
+        "counted-atom-not-a-name", "filter-atom-not-a-name",
     ],
 )
 def test_reader_rejects_the_line(parse, text, line):
@@ -358,7 +376,13 @@ class TestTrajectoryFormat:
             parse_trajectory_text("init s0\nstep go\n")
 
 
-names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
+# Any text the reader keeps on one line: spaces, quotes, `#`, `\`,
+# non-ASCII and the empty string among them.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # what str.splitlines splits at
+names = st.one_of(
+    st.sampled_from(("", " ", "it alian", "'", '"', "a'b", "#", "a#b", "\\", "café", "-")),
+    st.text(st.characters(codec="utf-8", blacklist_characters=LINE_BREAKS), max_size=6),
+)
 label_sets = st.frozensets(st.sampled_from(("pasta", "cake", "wine")), max_size=3)
 
 
@@ -371,6 +395,79 @@ def test_trajectory_round_trip(steps, first_state):
         labels=tuple(l for _, _, l in steps),
     )
     assert parse_trajectory_text(trajectory_to_text(traj)) == traj
+
+
+def _single_state_machine(states=("u0",)) -> RewardMachine:
+    return RewardMachine(states=states, initial=states[0], alphabet=("a",),
+                         transitions=tuple(Transition(s, ConstTrue(), s, 1.0) for s in states))
+
+
+def _env_with_types(names, base):
+    return RestaurantEnv(RestaurantConfig(1, tuple(names), tuple(names[:1]))), save_env, load_env
+
+
+def _machine_with_states(names, base):
+    return _single_state_machine(tuple(names)), save_machine, load_machine
+
+
+def _table_with_states(names, base):
+    rewards = {(s, s, s): float(i) for i, s in enumerate(names)}
+    return MarkovTableSource(rewards, default=0.5), save_markov_table, load_markov_table
+
+
+def _scheme_with_paths(names, base):
+    """A scheme whose machine stakeholders reference `NAME.rm`, next to it."""
+    machine = _single_state_machine()
+    stakeholders = []
+    for name in names:
+        save_machine(machine, base / f"{name}.rm")
+        stakeholders.append(StakeholderStatus(MachineSource(machine, path=f"{name}.rm")))
+    scheme = Scheme(StatusFunction(tuple(stakeholders)), Aggregation("flattened", op="sum"),
+                    LongTermFilter())
+    return scheme, save_scheme, load_scheme
+
+
+file_names = names.filter(lambda s: "/" not in s and "\0" not in s)
+
+
+@pytest.mark.parametrize("build, strategy", [
+    (_env_with_types, names),
+    (_machine_with_states, names),
+    (_table_with_states, names),
+    (_scheme_with_paths, file_names),
+], ids=["env-types", "machine-states", "table-states", "scheme-paths"])
+@given(data=st.data())
+def test_any_name_is_saved_and_read_back(build, strategy, data):
+    """save -> load gives the object back, and save -> load -> save the
+    same bytes, whatever the names hold."""
+    items = data.draw(st.lists(strategy, min_size=1, max_size=4, unique=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        obj, save, load = build(items, Path(tmp))
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        save(obj, first)
+        loaded = load(first)
+        save(loaded, second)
+        assert getattr(loaded, "config", loaded) == getattr(obj, "config", obj)  # envs by config
+        assert second.read_bytes() == first.read_bytes()
+
+
+def test_a_token_with_a_line_break_cannot_be_written():
+    traj = Trajectory(("s0", "s\n1"), ("go",), (frozenset(),))
+    with pytest.raises(ValueError, match=r"line break cannot be written: 's\\n1'"):
+        trajectory_to_text(traj)
+
+
+@pytest.mark.parametrize("atom", ["a,b", "A-B", ""])
+def test_a_label_atom_that_is_not_a_name_cannot_be_written(atom):
+    traj = Trajectory(("s0", "s1"), ("go",), (frozenset({atom}),))
+    with pytest.raises(ValueError, match=f"invalid proposition name '{atom}'"):
+        trajectory_to_text(traj)
+
+
+def test_a_machine_with_an_empty_alphabet_writes_a_bare_keyword():
+    machine = RewardMachine(("u0",), "u0", (), (Transition("u0", ConstTrue(), "u0", 0.0),))
+    assert "\nalphabet\n" in machine_to_text(machine)
+    assert parse_machine_text(machine_to_text(machine)) == machine
 
 
 class TestFormatReal:
