@@ -397,7 +397,7 @@ def test_trajectory_round_trip(steps, first_state):
     assert parse_trajectory_text(trajectory_to_text(traj)) == traj
 
 
-def _single_state_machine(states=("u0",)) -> RewardMachine:
+def _looping_machine(states=("u0",)) -> RewardMachine:
     return RewardMachine(states=states, initial=states[0], alphabet=("a",),
                          transitions=tuple(Transition(s, ConstTrue(), s, 1.0) for s in states))
 
@@ -407,7 +407,7 @@ def _env_with_types(names, base):
 
 
 def _machine_with_states(names, base):
-    return _single_state_machine(tuple(names)), save_machine, load_machine
+    return _looping_machine(tuple(names)), save_machine, load_machine
 
 
 def _table_with_states(names, base):
@@ -417,7 +417,7 @@ def _table_with_states(names, base):
 
 def _scheme_with_paths(names, base):
     """A scheme whose machine stakeholders reference `NAME.rm`, next to it."""
-    machine = _single_state_machine()
+    machine = _looping_machine()
     stakeholders = []
     for name in names:
         save_machine(machine, base / f"{name}.rm")
