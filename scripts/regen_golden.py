@@ -7,7 +7,8 @@ the paths it prints are the bare fixture names:
   * `optimize` of every env x scheme x method x horizon 0, 3, 5, seed 0,
     with methods exhaustive, greedy at lookahead 1 and 2, memory_q at 300
     episodes;
-  * `evaluate` of every scheme on every trajectory;
+  * `evaluate` of every scheme on every trajectory, and of a few policy
+    rollouts (ROLLOUTS);
   * `compare` of every trajectory under all schemes;
   * `validate` and `describe` of every fixture.
 
@@ -34,6 +35,12 @@ METHODS = (("exhaustive",), ("greedy", "--lookahead", "1"), ("greedy", "--lookah
            ("memory_q", "--episodes", "300"))
 HORIZONS = (0, 3, 5)
 RESULT_FILES = ("result.txt", "statuses.csv", "best.traj")
+# (env, scheme, policy, horizon) of each `evaluate --env` row, at seed 0.
+ROLLOUTS = (
+    ("delivery2.env", "delivery2_roundly_nash.scheme", "random", 200),
+    ("restaurant5.env", "restaurant5_longterm_nash.scheme",
+     "cycle:italian,sushi,taco,indian,bistro", 20),
+)
 
 
 def commands() -> list:
@@ -51,6 +58,9 @@ def commands() -> list:
     for scheme in schemes:
         for traj in trajs:
             out.append(["evaluate", "--scheme", scheme, "--traj", traj, "--out", "OUT"])
+    for env, scheme, policy, horizon in ROLLOUTS:
+        out.append(["evaluate", "--env", env, "--scheme", scheme, "--policy", policy,
+                    "--horizon", str(horizon), "--seed", "0", "--out", "OUT"])
     for traj in trajs:
         out.append(["compare", "--traj", traj, "--schemes", ",".join(schemes)])
     for name in names:
