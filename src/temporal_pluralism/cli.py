@@ -13,7 +13,11 @@ a fixture directory.
 from __future__ import annotations
 
 import argparse
+import codecs
+import contextlib
+import io
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -64,7 +68,12 @@ def resolve_path(p: str) -> str:
 
 
 def parse_policy(text: str, env):
-    """Policy flag syntax: always:ACT | cycle:A,B,... | seq:A,B,... | random."""
+    """Policy flag syntax: always:ACT | cycle:A,B,... | seq:A,B,... | random.
+
+    A list without quotes is split at every comma.  A list with a quote is
+    read by the shlex rules of the file tokens, with commas for spaces, so
+    an action whose name holds a comma is named quoted: cycle:'a,b',c.
+    """
     if text == "random":
         return random_policy(env.actions)
     kind, sep, rest = text.partition(":")
@@ -72,11 +81,18 @@ def parse_policy(text: str, env):
         raise PluralismError(f"bad policy '{text}' (try always:ACT, cycle:A,B, seq:A,B, random)")
     if kind == "always":
         return cycle_policy((rest,))
-    if kind == "cycle":
-        return cycle_policy(rest.split(","))
-    if kind == "seq":
-        return sequence_policy(rest.split(","))
-    raise PluralismError(f"unknown policy kind '{kind}'")
+    if kind not in ("cycle", "seq"):
+        raise PluralismError(f"unknown policy kind '{kind}'")
+    if "'" in rest or '"' in rest:
+        lexer = shlex.shlex(rest, posix=True)
+        lexer.whitespace, lexer.whitespace_split, lexer.commenters = ",", True, ""
+        try:
+            items = list(lexer)
+        except ValueError as err:  # an unbalanced quote
+            raise PluralismError(f"bad policy '{text}': {err}") from None
+    else:
+        items = rest.split(",")
+    return (cycle_policy if kind == "cycle" else sequence_policy)(items)
 
 
 def cmd_validate(args) -> int:
@@ -371,13 +387,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+@contextlib.contextmanager
+def _utf8_output():
+    """sys.stdout and sys.stderr write UTF-8 while the block runs, as the
+    result files do, whatever the locale; each keeps its error handler and
+    gets its encoding back afterwards.  A stream that is no file wrapper
+    (an io.StringIO a caller redirected to) or already writes UTF-8 is left
+    alone."""
+    changed = [
+        (stream, stream.encoding)
+        for stream in (sys.stdout, sys.stderr)
+        if isinstance(stream, io.TextIOWrapper)
+        and codecs.lookup(stream.encoding).name != "utf-8"
+    ]
+    for stream, _ in changed:
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     try:
-        return args.func(args)
-    except (PluralismError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        yield
+    finally:
+        for stream, encoding in changed:
+            stream.reconfigure(encoding=encoding, errors=stream.errors)
+
+
+def main(argv=None) -> int:
+    with _utf8_output():
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (PluralismError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,12 @@ the environment randomness, so a trajectory is a function of its action
 sequence and exhaustive search is an exact oracle.
 Stochasticity enters only through the seeded stream `rollout` hands to
 policies.
+
+Because a step is a pure function of (state, action), an environment may
+compute each transition once: `RestaurantEnv` builds its labels at
+construction, and `DeliveryGridEnv` records each (state, action) it is
+asked for, and each state id, the first time, so `replay` of the many
+sequences of an exhaustive search re-steps nothing.
 """
 
 from __future__ import annotations
@@ -197,6 +203,13 @@ class DeliveryGridEnv(LabelledEnv):
     also contains `round_complete` and the flags reset.  Moves off the edge
     clamp in place; `deliver` elsewhere (or a repeat delivery) is a legal
     no-op step with an empty label.
+
+    Each transition is computed once per instance: the first `step(state,
+    action)` runs the rule and records (next state, label), and every later
+    call with that pair looks it up; `state_id` records each state's id the
+    same way.  The tables hold at most one entry per distinct pair (or
+    state) taken, a few hundred on the bundled and benchmark grids.  An
+    unknown action is refused on every call and never recorded.
     """
 
     def __init__(self, config: DeliveryConfig):
@@ -207,12 +220,25 @@ class DeliveryGridEnv(LabelledEnv):
             + ["round_complete"]
         )
         self._recipient_at = {cell: i for i, cell in enumerate(config.recipients)}
+        self._steps: dict = {}  # (state, action) -> (next state, label)
+        self._ids: dict = {}  # state -> state_id(state)
 
     def reset(self, seed: int):
         x, y = self.config.start
         return (x, y, (False,) * len(self.config.recipients))
 
     def step(self, state, action: str, rng: None):
+        try:
+            return self._steps[state, action]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable: run the rule uncached, which refuses the action
+            return self._transition(state, action)
+        result = self._steps[state, action] = self._transition(state, action)
+        return result
+
+    def _transition(self, state, action: str):
+        """The step rule itself; `step` runs it once per (state, action)."""
         if action not in self.actions:
             raise InvalidActionError(f"unknown action '{action}'")
         x, y, done = state
@@ -231,9 +257,13 @@ class DeliveryGridEnv(LabelledEnv):
         return (x, y, done), frozenset([f"delivered_{i + 1}"])
 
     def state_id(self, state) -> str:
-        x, y, done = state
-        flags = "".join("1" if d else "0" for d in done)
-        return f"x{x}y{y}d{flags}"
+        try:
+            return self._ids[state]
+        except KeyError:
+            x, y, done = state
+            flags = "".join("1" if d else "0" for d in done)
+            text = self._ids[state] = f"x{x}y{y}d{flags}"
+            return text
 
 
 def replay(env: LabelledEnv, actions: Iterable[str], seed: int = 0) -> Trajectory:

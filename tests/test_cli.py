@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temporal_pluralism.cli import main
+from temporal_pluralism.cli import main, parse_policy
+from temporal_pluralism.environment import RestaurantConfig, RestaurantEnv
+from temporal_pluralism.errors import PluralismError
 from temporal_pluralism.scheme import pluralism_score
 from temporal_pluralism.serialize import format_real, load_scheme, load_trajectory
 
@@ -100,6 +102,32 @@ class TestEvaluate:
         )
         assert code == 0
         assert "score 32" in out
+
+    @pytest.mark.parametrize("policy, code, out, err", [
+        ("cycle:'a,b',c", 0, "score 4\nlog_score 1.3862943611198906\n", ""),
+        ("seq:c,\"a,b\",c,'a,b'", 0, "score 4\nlog_score 1.3862943611198906\n", ""),
+        ("cycle:a,b", 1, "", "error: unknown restaurant type 'a'\n"),
+        ("cycle:'a,b,c", 1, "", "error: bad policy 'cycle:'a,b,c': No closing quotation\n"),
+    ])
+    def test_a_quoted_list_item_may_hold_a_comma(
+        self, run_cli, tmp_path, policy, code, out, err
+    ):
+        (tmp_path / "comma.env").write_text(
+            "env restaurant\nn_friends 2\ntypes 'a,b' c\nprefers 1 'a,b'\nprefers 2 c\n")
+        (tmp_path / "both.scheme").write_text(
+            "n 2\nsource 1 count served_1\nsource 2 count served_2\n"
+            "aggregation.op product\nfilter.kind long_term\n")
+        assert run_cli(
+            "evaluate", "--env", tmp_path / "comma.env", "--scheme", tmp_path / "both.scheme",
+            "--policy", policy, "--horizon", "4",
+        ) == (code, out, err)
+
+    def test_an_unquoted_list_splits_at_every_comma(self):
+        env = RestaurantEnv(RestaurantConfig(1, ("a b", "c"), ("c",)))
+        policy = parse_policy("seq:a b,,c,", env)
+        assert [policy(t, None) for t in range(1, 5)] == ["a b", "", "c", ""]
+        with pytest.raises(PluralismError, match="No closing quotation"):
+            parse_policy('cycle:a,"b', env)
 
     def test_env_needs_policy(self, run_cli, fixtures_dir):
         with pytest.raises(SystemExit) as exc:
@@ -551,6 +579,27 @@ def test_optimize_writes_utf8_under_an_ascii_locale(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     traj = load_trajectory(tmp_path / "out" / "best.traj")
     assert traj.actions == ("it alian", "café")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["describe", "cafe.env"], 0,
+     "cafe.env: restaurant environment, 1 friends\n  types: café, bistro\n"
+     "  friend 1 prefers café\n  actions: café, bistro\n  alphabet: served_1, visit\n", ""),
+    (["describe", "caffe.env"], 1,
+     "", "error: caffe.env:4: preferred type 'caffè' not offered\n"),
+])
+def test_prints_utf8_under_an_ascii_locale(tmp_path, argv, code, out, err):
+    """stdout and stderr are UTF-8 whatever the locale, like the result
+    files: a name outside ASCII is printed as it is, with no traceback."""
+    (tmp_path / "cafe.env").write_text(
+        "env restaurant\nn_friends 1\ntypes café bistro\nprefers 1 café\n", encoding="utf-8")
+    (tmp_path / "caffe.env").write_text(
+        "env restaurant\nn_friends 1\ntypes café bistro\nprefers 1 caffè\n", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONIOENCODING", None)
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "temporal_pluralism", *argv],
+                          cwd=tmp_path, env=env, capture_output=True)
+    assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (code, out, err)
 
 
 def test_an_overflowed_score_prints_inf(run_cli, fixtures_dir, tmp_path):

@@ -216,8 +216,11 @@ def generated_grid(seed):
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
 def test_delivery_step_matches_the_recipient_scan(fixtures_dir, seed):
-    """Every reachable state x action: the cell lookup gives the next state
-    and label the scan over recipients gives."""
+    """Every reachable state x action, stepped twice: the first call runs
+    the rule and the second reads the recorded transition, and both give
+    the next state and label the scan over recipients gives.  Every state
+    id is the x{x}y{y}d{flags} rendering, and the tables hold one entry per
+    distinct pair or state taken."""
     if seed is None:
         env = load_env(fixtures_dir / "delivery2.env")
     else:
@@ -226,13 +229,36 @@ def test_delivery_step_matches_the_recipient_scan(fixtures_dir, seed):
     frontier = list(seen)
     while frontier:
         state = frontier.pop()
+        x, y, done = state
+        rendered = f"x{x}y{y}d{''.join('1' if d else '0' for d in done)}"
+        assert env.state_id(state) == env.state_id(state) == rendered
         for action in env.actions:
-            nxt, label = env.step(state, action, None)
-            assert (nxt, label) == scanning_delivery_step(env.config, state, action)
+            expected = scanning_delivery_step(env.config, state, action)
+            assert env.step(state, action, None) == expected
+            assert env.step(state, action, None) == expected
+            nxt = expected[0]
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     assert len(seen) >= env.config.width * env.config.height
+    assert len(env._steps) == len(seen) * len(env.actions)
+    assert len(env._ids) == len(seen)
+
+
+@pytest.mark.parametrize("action", ["teleport", "", ["north"], {"deliver": 1}])
+def test_an_unknown_delivery_action_is_refused_on_every_call(action):
+    """Hashable or not, an unknown action raises each time and is never
+    recorded, before and after the state's known pairs are."""
+    env = DeliveryGridEnv(generated_grid(0))
+    state = env.reset(0)
+    for _ in range(2):
+        with pytest.raises(InvalidActionError, match=r"^unknown action "):
+            env.step(state, action, None)
+        assert env._steps == {}
+    env.step(state, "north", None)
+    with pytest.raises(InvalidActionError):
+        env.step(state, action, None)
+    assert list(env._steps) == [(state, "north")]
 
 
 class TestRollout:
