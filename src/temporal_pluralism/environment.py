@@ -13,8 +13,8 @@ policies.
 Because a step is a pure function of (state, action), an environment may
 compute each transition once: `RestaurantEnv` builds its labels at
 construction, and `DeliveryGridEnv` records each (state, action) it is
-asked for, and each state id, the first time, so `replay` of the many
-sequences of an exhaustive search re-steps nothing.
+asked for, and each state id, the first time, so the many replays of
+an exhaustive search compute no transition twice.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ class DeliveryGridEnv(LabelledEnv):
     action)` runs the rule and records (next state, label), and every later
     call with that pair looks it up; `state_id` records each state's id the
     same way.  The tables hold at most one entry per distinct pair (or
-    state) taken, a few hundred on the bundled and benchmark grids.  An
-    unknown action is refused on every call and never recorded.
+    state) taken, no more than 110 on the benchmark's grids.  An unknown
+    action is refused on every call and never recorded.
     """
 
     def __init__(self, config: DeliveryConfig):
