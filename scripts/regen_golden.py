@@ -40,6 +40,9 @@ ROLLOUTS = (
     ("delivery2.env", "delivery2_roundly_nash.scheme", "random", 200),
     ("restaurant5.env", "restaurant5_longterm_nash.scheme",
      "cycle:italian,sushi,taco,indian,bistro", 20),
+    ("restaurant5.env", "restaurant5_longterm_nash.scheme", "always:italian", 5),
+    ("restaurant5.env", "restaurant5_longterm_nash.scheme", "seq:italian,sushi,taco", 3),
+    ("restaurant5.env", "restaurant5_longterm_nash.scheme", "seq:italian,sushi,taco", 4),
 )
 
 

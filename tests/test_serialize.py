@@ -22,6 +22,7 @@ from temporal_pluralism.scheme import (
     LongTermFilter,
     MachineSource,
     MarkovTableSource,
+    PeriodicFilter,
     Scheme,
     StakeholderStatus,
     StatusFunction,
@@ -52,6 +53,7 @@ from temporal_pluralism.serialize import (
     trajectory_to_text,
     write_results,
 )
+from test_scheme import accumulations, aggregations, filters
 
 FIXTURE_SUFFIXES = ("*.rm", "*.env", "*.scheme", "*.traj", "*.mt")
 
@@ -282,6 +284,32 @@ class TestSchemeFormat:
         text = "n 1\nsource 1 count a\naggregation.op product\nfilter.kind event_count\nfilter.k 2\n"
         with pytest.raises(FormatError, match="missing 'filter.atom' line"):
             parse_scheme_text(text)
+
+
+atom_names = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+count_stakeholders = st.builds(lambda atom, acc: StakeholderStatus(AtomCountSource(atom), *acc),
+                               atom_names, accumulations)
+scheme_filters = st.one_of(filters, st.builds(PeriodicFilter, st.integers(1, 10**12)),
+                           st.builds(EventCountFilter, atom_names, st.integers(1, 10**12)))
+
+
+@st.composite
+def count_schemes(draw):
+    """A count-source scheme over any accumulation, mode x op, filter kind
+    and empty-filter policy the scheme accepts."""
+    aggregation = draw(aggregations)
+    neutral = aggregation.mode == "flattened" and aggregation.op in ("product", "sum")
+    return Scheme(StatusFunction(tuple(draw(st.lists(count_stakeholders, min_size=1, max_size=4)))),
+                  aggregation, draw(scheme_filters),
+                  draw(st.sampled_from(("error", "neutral") if neutral else ("error",))))
+
+
+@given(count_schemes())
+def test_every_scheme_shape_is_saved_read_back_and_saved_again(scheme):
+    text = scheme_to_text(scheme)
+    loaded = parse_scheme_text(text)
+    assert loaded == scheme
+    assert scheme_to_text(loaded) == text
 
 
 TWO = "n 2\nsource 1 count a\nsource 2 count b\naggregation.op product\nfilter.kind long_term\n"
