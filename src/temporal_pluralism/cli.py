@@ -17,6 +17,7 @@ import codecs
 import contextlib
 import io
 import os
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -67,32 +68,52 @@ def resolve_path(p: str) -> str:
     return p
 
 
+# A part of a comma list that is not a separator: a quoted run (to its
+# closing quote, or to the end, which _read_item then refuses), an escape,
+# or any one character; a part that is a bare `,` separates two pieces.
+_LIST_PART = re.compile(r"""'[^']*'?|"(?:[^"\\]|\\.?)*"?|\\.?|.""", re.S)
+
+
+def read_list(text: str, what: str, split: bool = True) -> list:
+    """The items of the comma list `text`, which is split at every comma
+    outside quotes (or, if not `split`, is one piece); each piece is read
+    as _read_item reads it."""
+    pieces = [""]
+    for part in _LIST_PART.findall(text):
+        if part == "," and split:
+            pieces.append("")
+        else:
+            pieces[-1] += part
+    return [_read_item(piece, what) for piece in pieces]
+
+
+def _read_item(text: str, what: str) -> str:
+    """`text` read by the shlex rules of file tokens with no separator, so
+    spaces stay and an empty text is ''; an unbalanced quote is a
+    PluralismError naming `what`."""
+    lexer = shlex.shlex(text, posix=True)
+    lexer.whitespace, lexer.whitespace_split, lexer.commenters = "", True, ""
+    try:
+        return next(lexer, "")
+    except ValueError as err:
+        raise PluralismError(f"bad {what}: {err}") from None
+
+
 def parse_policy(text: str, env):
     """Policy flag syntax: always:ACT | cycle:A,B,... | seq:A,B,... | random.
 
-    A list without quotes is split at every comma.  A list with a quote is
-    read by the shlex rules of the file tokens, with commas for spaces, so
-    an action whose name holds a comma is named quoted: cycle:'a,b',c.
+    A list is read by read_list, and `always:ACT` reads ACT as one piece,
+    so an action whose name holds a comma is named quoted: cycle:'a,b',c.
     """
     if text == "random":
         return random_policy(env.actions)
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise PluralismError(f"bad policy '{text}' (try always:ACT, cycle:A,B, seq:A,B, random)")
-    if kind == "always":
-        return cycle_policy((rest,))
-    if kind not in ("cycle", "seq"):
+    if kind not in ("always", "cycle", "seq"):
         raise PluralismError(f"unknown policy kind '{kind}'")
-    if "'" in rest or '"' in rest:
-        lexer = shlex.shlex(rest, posix=True)
-        lexer.whitespace, lexer.whitespace_split, lexer.commenters = ",", True, ""
-        try:
-            items = list(lexer)
-        except ValueError as err:  # an unbalanced quote
-            raise PluralismError(f"bad policy '{text}': {err}") from None
-    else:
-        items = rest.split(",")
-    return (cycle_policy if kind == "cycle" else sequence_policy)(items)
+    items = read_list(rest, f"policy '{text}'", split=kind != "always")
+    return (sequence_policy if kind == "seq" else cycle_policy)(items)
 
 
 def cmd_validate(args) -> int:
@@ -111,10 +132,7 @@ def cmd_validate(args) -> int:
 
 
 def _maybe_warn_anytime(scheme, score: float) -> None:
-    filt = scheme.filter
-    every_step = isinstance(filt, AnytimeFilter) or (
-        isinstance(filt, PeriodicFilter) and filt.period == 1
-    )
+    every_step = scheme.filter in (AnytimeFilter(), PeriodicFilter(1))
     if (
         score == 0.0
         and every_step
@@ -178,7 +196,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    names = [s for s in args.schemes.split(",") if s]
+    names = [s for s in read_list(args.schemes, f"--schemes '{args.schemes}'") if s]
     if len(names) < 2:
         args.parser.error("--schemes needs at least two comma-separated scheme files")
     traj = load_trajectory(resolve_path(args.traj))
@@ -313,30 +331,29 @@ def _file_kind(path: str) -> tuple:
     return _FILE_KINDS[suffix]
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, else a usage error."""
+def _arg(convert, ok, expected: str):
+    """argparse type: convert(text) where `ok` holds of it, else a usage
+    error naming what was `expected`."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
             value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got '{text}'")
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got '{text}'")
         return value
 
     return parse
 
 
-def _probability(text: str) -> float:
-    """argparse type: a real in [0, 1] (not nan), else a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got '{text}'")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    return _arg(int, lambda value: value >= low, f"an integer >= {low}")
+
+
+# argparse type: a real in [0, 1] (not nan)
+_probability = _arg(float, lambda value: 0.0 <= value <= 1.0, "a number in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = ev.add_mutually_exclusive_group(required=True)
     src.add_argument("--traj")
     src.add_argument("--env")
-    ev.add_argument("--policy", help="always:ACT | cycle:A,B | seq:A,B | random")
+    ev.add_argument("--policy", help="always:ACT | cycle:A,B | seq:A,B | random; a list is "
+                    "split at commas outside quotes, each item read by shell quoting rules")
     ev.add_argument("--horizon", type=_int_at_least(0))
     ev.add_argument("--seed", type=int, default=0, help="read only by --policy random")
     ev.add_argument("--out", help="directory for the status CSV")
@@ -377,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("compare", help="score one trajectory under several schemes")
     cp.add_argument("--traj", required=True)
-    cp.add_argument("--schemes", required=True, help="comma-separated scheme files (>= 2)")
+    cp.add_argument("--schemes", required=True, help="comma-separated scheme files (>= 2), "
+                    "split at commas outside quotes, each read by shell quoting rules")
     cp.set_defaults(func=cmd_compare, parser=cp)
 
     de = sub.add_parser("describe", help="pretty-print any file kind validate reads")

@@ -103,11 +103,22 @@ def check_alphabet(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+# The deepest guard the parser builds, counted two ways: the `!`, `&` and
+# `|` nodes on a path down its tree, and the `!` and `(` open at any point
+# of its text.  A guard past either is refused, so no recursion over a
+# guard (the parser's own included) comes near Python's limit.
+MAX_GUARD_DEPTH = 100
+
+
 class _Parser:
+    """Each parse_* returns (formula, height): the height counts the
+    operator nodes on the longest path down the formula."""
+
     def __init__(self, text: str, atoms: frozenset):
         self.text = text
         self.atoms = atoms
         self.pos = 0
+        self.open = 0  # the `!` and `(` the parser is inside
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -117,47 +128,57 @@ class _Parser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_or(self) -> PropFormula:
-        node = self.parse_and()
+    def _within(self, levels: int) -> int:
+        if levels > MAX_GUARD_DEPTH:
+            raise FormulaSyntaxError(f"nested deeper than {MAX_GUARD_DEPTH} levels", self.pos)
+        return levels
+
+    def parse_or(self) -> tuple:
+        node, height = self.parse_and()
         while self._peek() == "|":
             self.pos += 1
-            node = Or(node, self.parse_and())
-        return node
+            right, right_height = self.parse_and()
+            node, height = Or(node, right), self._within(max(height, right_height) + 1)
+        return node, height
 
-    def parse_and(self) -> PropFormula:
-        node = self.parse_unary()
+    def parse_and(self) -> tuple:
+        node, height = self.parse_unary()
         while self._peek() == "&":
             self.pos += 1
-            node = And(node, self.parse_unary())
-        return node
+            right, right_height = self.parse_unary()
+            node, height = And(node, right), self._within(max(height, right_height) + 1)
+        return node, height
 
-    def parse_unary(self) -> PropFormula:
+    def parse_unary(self) -> tuple:
         ch = self._peek()
-        if ch == "!":
+        if ch == "!" or ch == "(":
             self.pos += 1
-            return Not(self.parse_unary())
-        if ch == "(":
-            self.pos += 1
-            node = self.parse_or()
-            if self._peek() != ")":
-                raise FormulaSyntaxError("expected ')'", self.pos)
-            self.pos += 1
-            return node
+            self.open = self._within(self.open + 1)
+            if ch == "!":
+                node, height = self.parse_unary()
+                node, height = Not(node), self._within(height + 1)
+            else:
+                node, height = self.parse_or()
+                if self._peek() != ")":
+                    raise FormulaSyntaxError("expected ')'", self.pos)
+                self.pos += 1
+            self.open -= 1
+            return node, height
         if ch == "⊤":
             self.pos += 1
-            return TRUE
+            return TRUE, 0
         m = _NAME_RE.match(self.text, self.pos)
         if m is None:
             raise FormulaSyntaxError("expected atom, 'true', 'false', '!' or '('", self.pos)
         self.pos = m.end()
         name = m.group()
         if name == "true":
-            return TRUE
+            return TRUE, 0
         if name == "false":
-            return FALSE
+            return FALSE, 0
         if name not in self.atoms:
             raise UnknownAtomError(name, m.start())
-        return Atom(name)
+        return Atom(name), 0
 
     def expect_end(self) -> None:
         self._skip_ws()
@@ -172,7 +193,7 @@ def parse_formula(text: str, alphabet: Iterable[str]) -> PropFormula:
     position) and UnknownAtomError for atoms outside the alphabet.
     """
     parser = _Parser(text, frozenset(alphabet))
-    node = parser.parse_or()
+    node, _ = parser.parse_or()
     parser.expect_end()
     return node
 

@@ -342,7 +342,7 @@ class PeriodicFilter:
 
     def __post_init__(self):
         if self.period < 1:
-            raise ValueError("period must be >= 1")
+            raise FieldError("period must be >= 1", "period")
 
 
 @dataclass(frozen=True)
@@ -503,7 +503,7 @@ def log_pluralism_score(scheme: Scheme, traj: Trajectory) -> float:
         raise PluralismError("log score needs flattened product aggregation")
     rows = status_table(scheme, traj)
     if not rows:
-        return _empty_filter_result(scheme, traj.horizon)
+        return math.log(_empty_filter_result(scheme, traj.horizon))
     entries = [x for _, vec in rows for x in vec]
     if any(x <= 0.0 for x in entries):
         raise PluralismError("log score undefined: some status entry is <= 0")

@@ -7,7 +7,10 @@ are ignored, tokens follow shell quoting rules.  Files may start with a
 line order, fixed real formatting), so save -> load -> save reproduces a
 file byte for byte.  Readers build from one pass, _directives, which holds
 the line rules all formats share; writers render through one function,
-_text, its mirror, and write through _write, the mirror of _read.
+_text, its mirror, and write through _write, the mirror of _read.  A
+scheme's filter kinds are stated once, in the table _FILTERS (each kind's
+class and directives), and the op fields of each aggregation mode once, in
+_ops; the scheme reader and writer both drive off them.
 
 Reals are written as the shortest string that parses back to the same
 double, with integral values written as plain integers.
@@ -380,12 +383,18 @@ def save_markov_table(source: MarkovTableSource, path) -> None:
 # ---------------------------------------------------------------------------
 # schemes (.scheme)
 
-_FILTER_NAMES = {
-    LongTermFilter: "long_term",
-    PeriodicFilter: "periodic",
-    AnytimeFilter: "anytime",
-    EventCountFilter: "event_count",
+# filter.kind -> (filter class, its (directive, field, type) in read and write order)
+_FILTERS = {
+    "long_term": (LongTermFilter, ()),
+    "periodic": (PeriodicFilter, (("filter.p", "period", int),)),
+    "anytime": (AnytimeFilter, ()),
+    "event_count": (EventCountFilter, (("filter.atom", "atom", str), ("filter.k", "every", int))),
 }
+
+
+def _ops(mode: str) -> tuple:
+    """The Aggregation fields an aggregation `mode` reads."""
+    return ("op",) if mode == "flattened" else ("inner_op", "outer_op")
 
 
 def scheme_to_text(scheme: Scheme) -> str:
@@ -403,18 +412,12 @@ def scheme_to_text(scheme: Scheme) -> str:
     lines += [("accumulation", i, sk.accumulation) for i, sk in stakeholders]
     lines += [("gamma", i, format_real(sk.gamma))
               for i, sk in stakeholders if sk.accumulation == "discounted"]
-    agg = scheme.aggregation
+    agg, filt = scheme.aggregation, scheme.filter
     lines.append(("aggregation.mode", agg.mode))
-    if agg.mode == "flattened":
-        lines.append(("aggregation.op", agg.op))
-    else:
-        lines += [("aggregation.inner_op", agg.inner_op), ("aggregation.outer_op", agg.outer_op)]
-    filt = scheme.filter
-    lines.append(("filter.kind", _FILTER_NAMES[type(filt)]))
-    if isinstance(filt, PeriodicFilter):
-        lines.append(("filter.p", filt.period))
-    elif isinstance(filt, EventCountFilter):
-        lines += [("filter.atom", filt.atom), ("filter.k", filt.every)]
+    lines += [(f"aggregation.{op}", getattr(agg, op)) for op in _ops(agg.mode)]
+    kind = next(k for k, (make, _) in _FILTERS.items() if type(filt) is make)
+    lines.append(("filter.kind", kind))
+    lines += [(key, getattr(filt, name)) for key, name, _ in _FILTERS[kind][1]]
     lines.append(("empty_filter", scheme.empty_filter))
     return _text(lines)
 
@@ -442,11 +445,8 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
         lineno, (value,) = _once(found, key, path, [default])
         return lineno, value
 
-    def integer(key):
-        lineno, (token,) = _once(found, key, path)
-        return lineno, _parse_int(token, lineno, path)
-
-    n_line, n = integer("n")
+    n_line, (n,) = _once(found, "n", path)
+    n = _parse_int(n, n_line, path)
     sources = _indexed(found, "source", n, path, every="stakeholder")
     accumulations = _indexed(found, "accumulation", n, path)
     gammas = _indexed(found, "gamma", n, path)
@@ -473,25 +473,19 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
         stakeholders.append(_at(lines, path, StakeholderStatus, source,
                                 accumulation, _parse_real(gamma, gamma_line, path)))
     mode_line, mode = field("aggregation.mode", "flattened")
-    ops = ("op",) if mode == "flattened" else ("inner_op", "outer_op")
-    read = {op: field(f"aggregation.{op}") for op in ops}
+    read = {op: field(f"aggregation.{op}") for op in _ops(mode)}
     lines = {"mode": mode_line, **{op: line for op, (line, _) in read.items()}}
     aggregation = _at(lines, path, Aggregation, mode=mode,
                       **{op: value for op, (_, value) in read.items()})
     lineno, kind = field("filter.kind")
-    if kind == "long_term":
-        filt = LongTermFilter()
-    elif kind == "anytime":
-        filt = AnytimeFilter()
-    elif kind == "periodic":
-        lineno, period = integer("filter.p")
-        filt = _at(lineno, path, PeriodicFilter, period)
-    elif kind == "event_count":
-        atom_line, (atom,) = _once(found, "filter.atom", path)
-        lineno, every = integer("filter.k")
-        filt = _at({"atom": atom_line, "every": lineno}, path, EventCountFilter, atom, every)
-    else:
+    if kind not in _FILTERS:
         raise FormatError(f"missing or unknown filter.kind '{kind}'", lineno, path)
+    make, params = _FILTERS[kind]
+    lines, args = {}, {}
+    for key, name, type_ in params:
+        lines[name], (token,) = _once(found, key, path)
+        args[name] = _parse_int(token, lines[name], path) if type_ is int else token
+    filt = _at(lines, path, make, **args)
     status = _at(n_line, path, StatusFunction, stakeholders)
     lineno, empty_filter = field("empty_filter", "error")
     scheme = _at(lineno, path, Scheme, status, aggregation, filt, empty_filter)

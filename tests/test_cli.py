@@ -5,6 +5,7 @@ tracebacks behave."""
 import contextlib
 import io
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,11 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temporal_pluralism.cli import main, parse_policy
+from temporal_pluralism.cli import main, parse_policy, read_list
 from temporal_pluralism.environment import RestaurantConfig, RestaurantEnv
 from temporal_pluralism.errors import PluralismError
+from temporal_pluralism.formula import MAX_GUARD_DEPTH
+from temporal_pluralism.machine import step_machine
 from temporal_pluralism.scheme import pluralism_score
-from temporal_pluralism.serialize import format_real, load_scheme, load_trajectory
+from temporal_pluralism.serialize import (
+    format_real,
+    load_machine,
+    load_scheme,
+    load_trajectory,
+    save_machine,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -108,6 +117,10 @@ class TestEvaluate:
         ("seq:c,\"a,b\",c,'a,b'", 0, "score 4\nlog_score 1.3862943611198906\n", ""),
         ("cycle:a,b", 1, "", "error: unknown restaurant type 'a'\n"),
         ("cycle:'a,b,c", 1, "", "error: bad policy 'cycle:'a,b,c': No closing quotation\n"),
+        ("always:'a,b'", 0, "score 0\n", ""),
+        ("always:a,b", 0, "score 0\n", ""),
+        ("always:'a,b", 1, "", "error: bad policy 'always:'a,b': No closing quotation\n"),
+        ("cycle:'a,b',,c", 1, "", "error: unknown restaurant type ''\n"),
     ])
     def test_a_quoted_list_item_may_hold_a_comma(
         self, run_cli, tmp_path, policy, code, out, err
@@ -128,6 +141,10 @@ class TestEvaluate:
         assert [policy(t, None) for t in range(1, 5)] == ["a b", "", "c", ""]
         with pytest.raises(PluralismError, match="No closing quotation"):
             parse_policy('cycle:a,"b', env)
+
+    @given(st.lists(st.text(st.characters(codec="utf-8"), max_size=5), min_size=1, max_size=4))
+    def test_a_list_of_quoted_items_reads_back(self, items):
+        assert read_list(",".join(map(shlex.quote, items)), "list") == items
 
     def test_env_needs_policy(self, run_cli, fixtures_dir):
         with pytest.raises(SystemExit) as exc:
@@ -413,6 +430,18 @@ class TestCompare:
         assert "none.scheme" in err
 
 
+    def test_a_quoted_scheme_name_may_hold_a_comma(self, run_cli, fixtures_dir, tmp_path):
+        for name in ("a,b.scheme", "two.scheme"):
+            shutil.copy(fixtures_dir / "restaurant5_longterm_nash.scheme", tmp_path / name)
+        traj = fixtures_dir / "restaurant5_sample.traj"
+        expected = "scheme k score\na,b.scheme 1 72\ntwo.scheme 1 72\n"
+        schemes = f"'{tmp_path / 'a,b.scheme'}',,{tmp_path / 'two.scheme'},"
+        assert run_cli("compare", "--traj", traj, "--schemes", schemes) == (0, expected, "")
+        schemes = f"'{tmp_path / 'a,b.scheme'},{tmp_path / 'two.scheme'}"
+        assert run_cli("compare", "--traj", traj, "--schemes", schemes) == (
+            1, "", f"error: bad --schemes '{schemes}': No closing quotation\n")
+
+
 class TestDescribe:
     @pytest.mark.parametrize(
         "name",
@@ -532,6 +561,45 @@ class TestInvalidMachine:
             code, out, err = run_cli(*argv)
             assert code == 1
             assert err.startswith(f"error: {self.report(rm)}")
+
+
+class TestDeepGuards:
+    """A guard nested past the bound is a bad guard at its line, with exit
+    1; one at the bound loads, steps and is saved back as it was read."""
+
+    SHAPES = {
+        "negations": lambda n: "!" * n + "a",
+        "and-chain": lambda n: " & ".join(["a"] * (n + 1)),
+        "parentheses": lambda n: "(" * n + "a" + ")" * n,
+    }
+
+    @staticmethod
+    def machine(tmp_path, guard):
+        rm = tmp_path / "deep.rm"
+        rm.write_text(f'alphabet a\nstate q init\ntrans q "{guard}" q 1\ntrans q "!a" q 0\n')
+        return rm
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_validate_and_describe_name_the_line(self, run_cli, tmp_path, shape):
+        rm = self.machine(tmp_path, shape(3000))
+        message = f"{rm}:3: bad guard: nested deeper than {MAX_GUARD_DEPTH} levels at position "
+        code, out, err = run_cli("validate", rm)
+        assert (code, err) == (1, "")
+        assert out.startswith(f"{rm}: INVALID\n  {message}")
+        code, out, err = run_cli("describe", rm)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_a_guard_at_the_bound_loads_and_steps(self, run_cli, tmp_path, shape):
+        rm = self.machine(tmp_path, shape(MAX_GUARD_DEPTH))
+        machine = load_machine(rm)
+        assert step_machine(machine, "q", frozenset({"a"})) == ("q", 1.0)
+        assert step_machine(machine, "q", frozenset()) == ("q", 0.0)
+        save_machine(machine, tmp_path / "saved.rm")
+        save_machine(load_machine(tmp_path / "saved.rm"), tmp_path / "again.rm")
+        assert (tmp_path / "again.rm").read_bytes() == (tmp_path / "saved.rm").read_bytes()
+        assert run_cli("validate", rm)[:2] == (0, f"{rm}: ok (deterministic, total)\n")
 
 
 class TestNotUtf8:

@@ -7,6 +7,7 @@ from temporal_pluralism.formula import (
     TRUE,
     And,
     Atom,
+    MAX_GUARD_DEPTH,
     FormulaSyntaxError,
     Not,
     Or,
@@ -87,6 +88,25 @@ class TestParsing:
     def test_dangling_operator(self):
         with pytest.raises(FormulaSyntaxError):
             parse("pasta &")
+
+
+# Guard shapes n levels deep, each counted differently by the bound.
+DEEP = {
+    "negations": lambda n: "!" * n + "pasta",
+    "and-chain": lambda n: " & ".join(["pasta"] * (n + 1)),
+    "or-chain": lambda n: " | ".join(["pasta"] * (n + 1)),
+    "parentheses": lambda n: "(" * n + "pasta" + ")" * n,
+    "negated-chain": lambda n: "!(" + " & ".join(["pasta"] * n) + ")",
+    "nested-right": lambda n: "pasta | (" * n + "pasta" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", DEEP.values(), ids=DEEP.keys())
+def test_a_guard_nests_up_to_the_bound(shape):
+    f = parse(shape(MAX_GUARD_DEPTH))
+    assert parse(print_formula(f)) == f
+    with pytest.raises(FormulaSyntaxError, match=f"^nested deeper than {MAX_GUARD_DEPTH} levels"):
+        parse(shape(MAX_GUARD_DEPTH + 1))
 
 
 class TestEval:

@@ -421,6 +421,9 @@ class TestPluralismScore:
             pluralism_score(scheme, t),
             rel_tol=1e-12,
         )
+        # no time passes the filter: the neutral product 1 has log 0
+        neutral = Scheme(scheme.status, NASH, EventCountFilter("visit", 10), "neutral")
+        assert (log_pluralism_score(neutral, t), pluralism_score(neutral, t)) == (0.0, 1.0)
 
     def test_log_score_rejects_zero_entries(self):
         scheme = count_scheme(2)
