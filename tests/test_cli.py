@@ -489,6 +489,52 @@ class TestDescribe:
             "  3: cake --> d3 {cake}",
         ]
 
+    def test_schemes_of_every_kind(self, run_cli, fixtures_dir, tmp_path):
+        """Every filter kind, aggregation mode, empty-filter policy,
+        accumulation and source kind, as describe prints it."""
+        for name in ("fig2.rm", "opening_moves.mt"):
+            (tmp_path / name).write_text((fixtures_dir / name).read_text())
+        schemes = {
+            "a.scheme": "n 3\nsource 1 count served_1\nsource 2 machine fig2.rm\n"
+            "source 3 markov opening_moves.mt\naccumulation 2 discounted\ngamma 2 0.5\n"
+            "accumulation 3 mean\naggregation.op product\nfilter.kind long_term\n",
+            "b.scheme": "n 1\nsource 1 count cake\naggregation.mode time_then_stakeholders\n"
+            "aggregation.inner_op min\naggregation.outer_op sum\n"
+            "filter.kind periodic\nfilter.p 3\n",
+            "c.scheme": "n 1\nsource 1 count cake\naggregation.mode stakeholders_then_time\n"
+            "aggregation.inner_op mean\naggregation.outer_op product\nfilter.kind anytime\n",
+            "d.scheme": "n 1\nsource 1 count cake\naggregation.op sum\nfilter.kind event_count\n"
+            "filter.atom pasta\nfilter.k 2\nempty_filter neutral\n",
+        }
+        for name, text in schemes.items():
+            (tmp_path / name).write_text(text)
+        code, out, err = run_cli("describe", *(tmp_path / name for name in schemes))
+        assert (code, err) == (0, "")
+        assert out == (
+            f"{tmp_path / 'a.scheme'}: scheme over 3 stakeholder(s)\n"
+            "  stakeholder 1: count of 'served_1', sum\n"
+            "  stakeholder 2: machine fig2.rm, discounted (gamma 0.5)\n"
+            "  stakeholder 3: markov table opening_moves.mt, mean\n"
+            "  aggregation: flattened product\n"
+            "  filter: long-term (final prefix only)\n"
+            "  empty filter: error\n"
+            f"{tmp_path / 'b.scheme'}: scheme over 1 stakeholder(s)\n"
+            "  stakeholder 1: count of 'cake', sum\n"
+            "  aggregation: time_then_stakeholders, inner min, outer sum\n"
+            "  filter: periodic, every 3 steps\n"
+            "  empty filter: error\n"
+            f"{tmp_path / 'c.scheme'}: scheme over 1 stakeholder(s)\n"
+            "  stakeholder 1: count of 'cake', sum\n"
+            "  aggregation: stakeholders_then_time, inner mean, outer product\n"
+            "  filter: anytime (every prefix)\n"
+            "  empty filter: error\n"
+            f"{tmp_path / 'd.scheme'}: scheme over 1 stakeholder(s)\n"
+            "  stakeholder 1: count of 'cake', sum\n"
+            "  aggregation: flattened sum\n"
+            "  filter: event-count, every 2 occurrences of 'pasta'\n"
+            "  empty filter: neutral\n"
+        )
+
     def test_unknown_suffix_fails(self, run_cli, tmp_path):
         odd = tmp_path / "notes.txt"
         odd.write_text("hello\n")
