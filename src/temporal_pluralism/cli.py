@@ -32,13 +32,10 @@ from .environment import (
 )
 from .errors import PluralismError
 from .formula import format_valuation, print_formula
+from .machine import RewardMachine
 from .optimize import DEFAULT_BUDGET, optimize_exhaustive, optimize_greedy, optimize_memory_q
 from .scheme import (
     AnytimeFilter,
-    AtomCountSource,
-    EventCountFilter,
-    LongTermFilter,
-    MachineSource,
     PeriodicFilter,
     check_alphabet_compatibility,
     filter_times,
@@ -47,6 +44,7 @@ from .scheme import (
 )
 from .serialize import (
     format_real,
+    kind_phrase,
     load_env,
     load_machine,
     load_markov_table,
@@ -121,13 +119,14 @@ def cmd_validate(args) -> int:
     for given in args.paths:
         path = resolve_path(given)
         try:
-            verdict = _file_kind(path)[0](path)
+            loaded = _file_kind(path)[0](path)
         except (PluralismError, OSError) as err:
             print(f"{given}: INVALID")
             print(f"  {err}")
             failed = True
             continue
-        print(f"{given}: {verdict}")
+        check = f" ({_VALID_MACHINE})" if isinstance(loaded, RewardMachine) else ""
+        print(f"{given}: ok{check}")
     return 1 if failed else 0
 
 
@@ -212,16 +211,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_FILTER_LABELS = {
-    LongTermFilter: "long-term (final prefix only)",
-    AnytimeFilter: "anytime (every prefix)",
-}
-
-
 def cmd_describe(args) -> int:
     for given in args.paths:
         path = resolve_path(given)
-        _file_kind(path)[1](given, path)
+        load, describe = _file_kind(path)
+        describe(given, load(path))
     return 0
 
 
@@ -229,16 +223,7 @@ def cmd_describe(args) -> int:
 _VALID_MACHINE = "deterministic, total"
 
 
-def _loads(load, verdict: str = "ok"):
-    def check(path: str) -> str:
-        load(path)
-        return verdict
-
-    return check
-
-
-def _describe_machine(given: str, path: str) -> None:
-    machine = load_machine(path)
+def _describe_machine(given: str, machine) -> None:
     print(f"{given}: reward machine, {len(machine.states)} states, "
           f"{len(machine.transitions)} transitions")
     print(f"  alphabet: {', '.join(machine.alphabet)}")
@@ -248,39 +233,23 @@ def _describe_machine(given: str, path: str) -> None:
     print(f"  check: {_VALID_MACHINE}")
 
 
-def _describe_scheme(given: str, path: str) -> None:
-    scheme = load_scheme(path)
+def _describe_scheme(given: str, scheme) -> None:
     print(f"{given}: scheme over {scheme.status.n} stakeholder(s)")
     for i, sk in enumerate(scheme.status.stakeholders, start=1):
-        src = sk.source
-        if isinstance(src, AtomCountSource):
-            what = f"count of '{src.atom}'"
-        elif isinstance(src, MachineSource):
-            what = f"machine {src.path or '(in memory)'}"
-        else:
-            what = f"markov table {src.path or '(in memory)'}"
         acc = sk.accumulation
         if acc == "discounted":
             acc += f" (gamma {format_real(sk.gamma)})"
-        print(f"  stakeholder {i}: {what}, {acc}")
+        print(f"  stakeholder {i}: {kind_phrase(sk.source)}, {acc}")
     agg = scheme.aggregation
     if agg.mode == "flattened":
         print(f"  aggregation: flattened {agg.op}")
     else:
         print(f"  aggregation: {agg.mode}, inner {agg.inner_op}, outer {agg.outer_op}")
-    filt = scheme.filter
-    if isinstance(filt, PeriodicFilter):
-        label = f"periodic, every {filt.period} steps"
-    elif isinstance(filt, EventCountFilter):
-        label = f"event-count, every {filt.every} occurrences of '{filt.atom}'"
-    else:
-        label = _FILTER_LABELS[type(filt)]
-    print(f"  filter: {label}")
+    print(f"  filter: {kind_phrase(scheme.filter)}")
     print(f"  empty filter: {scheme.empty_filter}")
 
 
-def _describe_env(given: str, path: str) -> None:
-    env = load_env(path)
+def _describe_env(given: str, env) -> None:
     if isinstance(env, RestaurantEnv):
         cfg = env.config
         print(f"{given}: restaurant environment, {cfg.n_friends} friends")
@@ -298,29 +267,28 @@ def _describe_env(given: str, path: str) -> None:
     print(f"  alphabet: {', '.join(env.alphabet)}")
 
 
-def _describe_markov_table(given: str, path: str) -> None:
-    table = load_markov_table(path)
+def _describe_markov_table(given: str, table) -> None:
     print(f"{given}: markov reward table, {len(table.rewards)} entries, "
           f"default {format_real(table.default)}")
     for (s, a, s2), r in sorted(table.rewards.items()):
         print(f"  {s} --{a} {format_real(r)}--> {s2}")
 
 
-def _describe_trajectory(given: str, path: str) -> None:
-    traj = load_trajectory(path)
+def _describe_trajectory(given: str, traj) -> None:
     print(f"{given}: trajectory, horizon {traj.horizon}, initial state {traj.states[0]}")
     steps = zip(traj.actions, traj.states[1:], traj.labels)
     for t, (action, state, label) in enumerate(steps, start=1):
         print(f"  {t}: {action} --> {state} {format_valuation(label)}")
 
 
-# suffix -> (validate: path -> verdict, describe: (given, path) -> None)
+# suffix -> (loader: path -> object, describer: (given, object) -> None);
+# validate only loads, describe loads and then describes
 _FILE_KINDS = {
-    ".rm": (_loads(load_machine, f"ok ({_VALID_MACHINE})"), _describe_machine),
-    ".scheme": (_loads(load_scheme), _describe_scheme),
-    ".env": (_loads(load_env), _describe_env),
-    ".traj": (_loads(load_trajectory), _describe_trajectory),
-    ".mt": (_loads(load_markov_table), _describe_markov_table),
+    ".rm": (load_machine, _describe_machine),
+    ".scheme": (load_scheme, _describe_scheme),
+    ".env": (load_env, _describe_env),
+    ".traj": (load_trajectory, _describe_trajectory),
+    ".mt": (load_markov_table, _describe_markov_table),
 }
 
 

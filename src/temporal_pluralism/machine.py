@@ -8,8 +8,11 @@ table can.
 
 Machines are required to be deterministic and total: for every state and
 every valuation over the alphabet, exactly one outgoing guard holds.  This
-is checked by exhaustive enumeration, which is exact and cheap for the
-alphabet sizes that occur in practice.
+is checked by exhaustive enumeration, which is exact but visits all
+2^|alphabet| valuations for every state: its cost doubles with each atom.
+`pluralism validate` of a one-state machine took 0.18 s, 0.21 s and 0.42 s
+at 12, 14 and 16 atoms (process start included; a shared 2-CPU Xeon host,
+Python 3.11.7); see docs/formats.md.
 """
 
 from __future__ import annotations

@@ -507,7 +507,9 @@ def log_pluralism_score(scheme: Scheme, traj: Trajectory) -> float:
     entries = [x for _, vec in rows for x in vec]
     if any(x <= 0.0 for x in entries):
         raise PluralismError("log score undefined: some status entry is <= 0")
-    return sum(math.log(x) for x in sorted(entries))
+    # _reduce's sorted sequential fold, not the builtin sum, whose
+    # compensated summation (Python >= 3.12) would round differently.
+    return _reduce("sum", [math.log(x) for x in entries])
 
 
 def check_labels(status: StatusFunction, labels: Sequence) -> None:

@@ -8,9 +8,10 @@ line order, fixed real formatting), so save -> load -> save reproduces a
 file byte for byte.  Readers build from one pass, _directives, which holds
 the line rules all formats share; writers render through one function,
 _text, its mirror, and write through _write, the mirror of _read.  A
-scheme's filter kinds are stated once, in the table _FILTERS (each kind's
-class and directives), and the op fields of each aggregation mode once, in
-_ops; the scheme reader and writer both drive off them.
+scheme's source and filter kinds are stated once, in the tables _SOURCES
+and _FILTERS (each kind's class, how it is read and written, and the phrase
+`describe` prints), and the op fields of each aggregation mode once, in
+_ops; the scheme reader and writer and kind_phrase all drive off them.
 
 Reals are written as the shortest string that parses back to the same
 double, with integral values written as plain integers.
@@ -20,7 +21,6 @@ The full grammar of each format lives in docs/formats.md.
 
 from __future__ import annotations
 
-import csv
 import math
 import shlex
 from pathlib import Path
@@ -199,12 +199,12 @@ def _indexed(found: dict, key: str, n: int, path: str, every: str = None) -> dic
 
 
 def _at(line, path: str, make, *args, **kwargs):
-    """make(*args, **kwargs), a ValueError it raises reported at `line`: a
-    line number, or {field: line number} to name the line of the field a
-    FieldError tags."""
+    """make(*args, **kwargs), a ValueError or OSError it raises reported at
+    `line`: a line number, or {field: line number} to name the line of the
+    field a FieldError tags."""
     try:
         return make(*args, **kwargs)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         if isinstance(line, dict):
             line = line.get(getattr(err, "field", None))
         raise FormatError(str(err), line, path)
@@ -383,13 +383,40 @@ def save_markov_table(source: MarkovTableSource, path) -> None:
 # ---------------------------------------------------------------------------
 # schemes (.scheme)
 
-# filter.kind -> (filter class, its (directive, field, type) in read and write order)
-_FILTERS = {
-    "long_term": (LongTermFilter, ()),
-    "periodic": (PeriodicFilter, (("filter.p", "period", int),)),
-    "anytime": (AnytimeFilter, ()),
-    "event_count": (EventCountFilter, (("filter.atom", "atom", str), ("filter.k", "every", int))),
+# source keyword -> (source class, its reader of the `source` line's
+# argument and the scheme's directory, the field written back, describe's
+# phrase).  A file a reader cannot open is an error at the `source` line.
+_SOURCES = {
+    "count": (AtomCountSource, lambda arg, base: AtomCountSource(arg), "atom",
+              "count of '{atom}'"),
+    "machine": (MachineSource, lambda arg, base: MachineSource(load_machine(base / arg), arg),
+                "path", "machine {path}"),
+    "markov": (MarkovTableSource, lambda arg, base: load_markov_table(base / arg, arg),
+               "path", "markov table {path}"),
 }
+
+# filter.kind -> (filter class, its (directive, field, type) in read and
+# write order, describe's phrase)
+_FILTERS = {
+    "long_term": (LongTermFilter, (), "long-term (final prefix only)"),
+    "periodic": (PeriodicFilter, (("filter.p", "period", int),), "periodic, every {period} steps"),
+    "anytime": (AnytimeFilter, (), "anytime (every prefix)"),
+    "event_count": (EventCountFilter, (("filter.atom", "atom", str), ("filter.k", "every", int)),
+                    "event-count, every {every} occurrences of '{atom}'"),
+}
+
+
+def _kind(table: dict, part) -> str:
+    """The keyword of the row of `table` (_SOURCES or _FILTERS) whose class
+    `part` is."""
+    return next(kind for kind, row in table.items() if type(part) is row[0])
+
+
+def kind_phrase(part) -> str:
+    """The phrase `describe` prints for a scheme's source or filter: the
+    last column of its row, filled in from its fields."""
+    row = next(row for row in (*_SOURCES.values(), *_FILTERS.values()) if type(part) is row[0])
+    return row[-1].format_map(vars(part))
 
 
 def _ops(mode: str) -> tuple:
@@ -401,21 +428,18 @@ def scheme_to_text(scheme: Scheme) -> str:
     stakeholders = list(enumerate(scheme.status.stakeholders, start=1))
     lines = [("n", scheme.status.n)]
     for i, sk in stakeholders:
-        src = sk.source
-        if isinstance(src, AtomCountSource):
-            lines.append(("source", i, "count", src.atom))
-            continue
-        kind = "machine" if isinstance(src, MachineSource) else "markov"
-        if src.path is None:
+        kind = _kind(_SOURCES, sk.source)
+        ref = getattr(sk.source, _SOURCES[kind][2])
+        if ref is None:
             raise ValueError(f"stakeholder {i}: {kind} source has no file reference")
-        lines.append(("source", i, kind, src.path))
+        lines.append(("source", i, kind, ref))
     lines += [("accumulation", i, sk.accumulation) for i, sk in stakeholders]
     lines += [("gamma", i, format_real(sk.gamma))
               for i, sk in stakeholders if sk.accumulation == "discounted"]
     agg, filt = scheme.aggregation, scheme.filter
     lines.append(("aggregation.mode", agg.mode))
     lines += [(f"aggregation.{op}", getattr(agg, op)) for op in _ops(agg.mode)]
-    kind = next(k for k, (make, _) in _FILTERS.items() if type(filt) is make)
+    kind = _kind(_FILTERS, filt)
     lines.append(("filter.kind", kind))
     lines += [(key, getattr(filt, name)) for key, name, _ in _FILTERS[kind][1]]
     lines.append(("empty_filter", scheme.empty_filter))
@@ -453,14 +477,9 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
     stakeholders = []
     for i in range(1, n + 1):
         lineno, (kind, arg) = sources[i]
-        if kind == "count":
-            source = _at(lineno, path, AtomCountSource, arg)
-        elif kind == "machine":
-            source = MachineSource(machine=load_machine(base / arg), path=arg)
-        elif kind == "markov":
-            source = load_markov_table(base / arg, arg)
-        else:
+        if kind not in _SOURCES:
             raise FormatError(f"unknown source kind '{kind}'", lineno, path)
+        source = _at(lineno, path, _SOURCES[kind][1], arg, base)
         acc_line, (accumulation,) = accumulations.get(i, (None, ["sum"]))
         if accumulation == "discounted" and i not in gammas:
             raise FormatError(f"stakeholder {i} is discounted but has no 'gamma {i}'",
@@ -480,7 +499,7 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
     lineno, kind = field("filter.kind")
     if kind not in _FILTERS:
         raise FormatError(f"missing or unknown filter.kind '{kind}'", lineno, path)
-    make, params = _FILTERS[kind]
+    make, params, _ = _FILTERS[kind]
     lines, args = {}, {}
     for key, name, type_ in params:
         lines[name], (token,) = _once(found, key, path)
@@ -560,11 +579,8 @@ def write_results(result: PolicyResult, scheme: Scheme, out_dir) -> None:
 
 
 def write_status_csv(scheme: Scheme, traj: Trajectory, path) -> None:
-    """One row per filtered time: t, u_1, ..., u_n."""
-    rows = status_table(scheme, traj)
-    n = scheme.status.n
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"u_{j}" for j in range(1, n + 1)])
-        for t, vec in rows:
-            writer.writerow([t] + [format_real(x) for x in vec])
+    """A header row, then one row per filtered time: t, u_1, ..., u_n.  No
+    field holds a comma, a quote or a line break, so none is quoted."""
+    rows = [["t"] + [f"u_{j}" for j in range(1, scheme.status.n + 1)]]
+    rows += [[str(t)] + [format_real(x) for x in vec] for t, vec in status_table(scheme, traj)]
+    _write(path, "".join(",".join(row) + "\n" for row in rows))

@@ -579,6 +579,29 @@ class TestNonFiniteNumbers:
         assert message in err
 
 
+class TestUnreadableSource:
+    """A machine or Markov file a scheme cannot open is an error at the
+    scheme's `source` line."""
+
+    @pytest.mark.parametrize("source", ["machine nowhere.rm", "markov table.mt"])
+    def test_validate_describe_and_evaluate_name_the_line(
+        self, run_cli, fixtures_dir, tmp_path, source
+    ):
+        (tmp_path / "table.mt").mkdir()
+        scheme = tmp_path / "s.scheme"
+        scheme.write_text(f"n 2\nsource 1 count cake\nsource 2 {source}\n"
+                          "aggregation.op sum\nfilter.kind long_term\n")
+        where, unread = f"{scheme}:3: ", str(tmp_path / source.split()[1])
+        code, out, err = run_cli("validate", scheme)
+        assert code == 1
+        assert out.startswith(f"{scheme}: INVALID\n  {where}") and unread in out
+        traj = fixtures_dir / "dinner.traj"
+        for argv in (["describe", scheme], ["evaluate", "--scheme", scheme, "--traj", traj]):
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {where}") and unread in err
+
+
 class TestInvalidMachine:
     """Every command reports an invalid machine one way, naming its file."""
 

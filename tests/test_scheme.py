@@ -425,6 +425,18 @@ class TestPluralismScore:
         neutral = Scheme(scheme.status, NASH, EventCountFilter("visit", 10), "neutral")
         assert (log_pluralism_score(neutral, t), pluralism_score(neutral, t)) == (0.0, 1.0)
 
+    def test_log_score_adds_the_sorted_logs_left_to_right(self):
+        # A compensated sum (the builtin sum's from Python 3.12 on) rounds
+        # log 2 + log 3 + log 5 one ulp higher, so the score would depend
+        # on the interpreter.
+        sources = [MarkovTableSource(rewards={}, default=r) for r in (5.0, 2.0, 3.0)]
+        scheme = Scheme(StatusFunction([StakeholderStatus(s) for s in sources]),
+                        Aggregation(op="product"), LongTermFilter())
+        t = Trajectory(states=("s0", "s1"), actions=("a",), labels=(frozenset(),))
+        expected = (math.log(2.0) + math.log(3.0)) + math.log(5.0)
+        assert expected != math.fsum(math.log(x) for x in (2.0, 3.0, 5.0))
+        assert log_pluralism_score(scheme, t) == expected
+
     def test_log_score_rejects_zero_entries(self):
         scheme = count_scheme(2)
         t = replay(two_friend_env(), ("italian", "italian"))
