@@ -4,10 +4,6 @@ Subcommands: validate, evaluate, optimize, compare, describe.  Exit code 0
 means success, 1 a domain or file error, 2 a usage error.  Every number the
 CLI prints is produced by the same library calls a script would make, so
 printed and programmatic results agree exactly.
-
-File arguments that do not exist as given are retried relative to
-$PLURALISM_FIXTURE_DIR, which keeps invocations short when working out of
-a fixture directory.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ import argparse
 import codecs
 import contextlib
 import io
-import os
 import re
 import shlex
 import sys
@@ -53,17 +48,6 @@ from .serialize import (
     write_results,
     write_status_csv,
 )
-
-
-def resolve_path(p: str) -> str:
-    if os.path.exists(p):
-        return p
-    base = os.environ.get("PLURALISM_FIXTURE_DIR")
-    if base:
-        candidate = os.path.join(base, p)
-        if os.path.exists(candidate):
-            return candidate
-    return p
 
 
 # A part of a comma list that is not a separator: a quoted run (to its
@@ -116,17 +100,16 @@ def parse_policy(text: str, env):
 
 def cmd_validate(args) -> int:
     failed = False
-    for given in args.paths:
-        path = resolve_path(given)
+    for path in args.paths:
         try:
             loaded = _file_kind(path)[0](path)
         except (PluralismError, OSError) as err:
-            print(f"{given}: INVALID")
+            print(f"{path}: INVALID")
             print(f"  {err}")
             failed = True
             continue
         check = f" ({_VALID_MACHINE})" if isinstance(loaded, RewardMachine) else ""
-        print(f"{given}: ok{check}")
+        print(f"{path}: ok{check}")
     return 1 if failed else 0
 
 
@@ -151,11 +134,13 @@ def cmd_evaluate(args) -> int:
         args.parser.error("--env requires --policy")
     if args.env and args.horizon is None:
         args.parser.error("--env requires --horizon")
-    scheme = load_scheme(resolve_path(args.scheme))
+    if args.traj and (args.policy is not None or args.horizon is not None):
+        args.parser.error("--traj takes no --policy or --horizon")
+    scheme = load_scheme(args.scheme)
     if args.traj:
-        traj = load_trajectory(resolve_path(args.traj))
+        traj = load_trajectory(args.traj)
     else:
-        env = load_env(resolve_path(args.env))
+        env = load_env(args.env)
         check_alphabet_compatibility(scheme, env.alphabet)
         traj = rollout(env, parse_policy(args.policy, env), args.horizon, args.seed)
     score = pluralism_score(scheme, traj)
@@ -173,21 +158,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    env = load_env(resolve_path(args.env))
-    scheme = load_scheme(resolve_path(args.scheme))
+    env = load_env(args.env)
+    scheme = load_scheme(args.scheme)
     if args.method == "exhaustive":
         result = optimize_exhaustive(env, scheme, args.horizon, budget=args.budget)
     elif args.method == "greedy":
         result = optimize_greedy(env, scheme, args.horizon, lookahead=args.lookahead)
     else:
-        result = optimize_memory_q(
-            env,
-            scheme,
-            args.horizon,
-            episodes=args.episodes,
-            epsilon=args.epsilon,
-            seed=args.seed,
-        )
+        result = optimize_memory_q(env, scheme, args.horizon, episodes=args.episodes,
+                                   seed=args.seed)
     write_results(result, scheme, args.out)
     print(f"score {format_real(result.score)}")
     print(f"evaluations {result.evaluations}")
@@ -198,8 +177,8 @@ def cmd_compare(args) -> int:
     names = [s for s in read_list(args.schemes, f"--schemes '{args.schemes}'") if s]
     if len(names) < 2:
         args.parser.error("--schemes needs at least two comma-separated scheme files")
-    traj = load_trajectory(resolve_path(args.traj))
-    schemes = [(given, load_scheme(resolve_path(given))) for given in names]
+    traj = load_trajectory(args.traj)
+    schemes = [(given, load_scheme(given)) for given in names]
     print("scheme k score")
     for given, scheme in schemes:
         k = len(filter_times(scheme.filter, traj))
@@ -212,10 +191,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    for given in args.paths:
-        path = resolve_path(given)
+    for path in args.paths:
         load, describe = _file_kind(path)
-        describe(given, load(path))
+        describe(path, load(path))
     return 0
 
 
@@ -299,29 +277,19 @@ def _file_kind(path: str) -> tuple:
     return _FILE_KINDS[suffix]
 
 
-def _arg(convert, ok, expected: str):
-    """argparse type: convert(text) where `ok` holds of it, else a usage
-    error naming what was `expected`."""
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error."""
 
-    def parse(text: str):
+    def parse(text: str) -> int:
         try:
-            value = convert(text)
+            value = int(text)
         except ValueError:
             value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got '{text}'")
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got '{text}'")
         return value
 
     return parse
-
-
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
-    return _arg(int, lambda value: value >= low, f"an integer >= {low}")
-
-
-# argparse type: a real in [0, 1] (not nan)
-_probability = _arg(float, lambda value: 0.0 <= value <= 1.0, "a number in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
     op.add_argument("--lookahead", type=_int_at_least(1), default=1)
     op.add_argument("--episodes", type=_int_at_least(0), default=5000)
-    op.add_argument("--epsilon", type=_probability, default=0.3)
     op.set_defaults(func=cmd_optimize, parser=op)
 
     cp = sub.add_parser("compare", help="score one trajectory under several schemes")

@@ -81,9 +81,6 @@ PropFormula = Union[Atom, Not, And, Or, ConstTrue, ConstFalse]
 TRUE = ConstTrue()
 FALSE = ConstFalse()
 
-# A valuation is the set of atom names that are true at one step.
-Valuation = frozenset
-
 
 def is_proposition_name(name: str) -> bool:
     return bool(_NAME_RE.fullmatch(name))

@@ -58,6 +58,7 @@ class PolicyResult:
 
 
 DEFAULT_BUDGET = 10_000_000
+EPSILON = 0.3  # memory_q's exploration rate
 
 
 def _result(scheme: Scheme, traj: Trajectory, method: str, evaluations: int) -> PolicyResult:
@@ -238,7 +239,6 @@ def optimize_memory_q(
     scheme: Scheme,
     horizon: int,
     episodes: int = 5000,
-    epsilon: float = 0.3,
     seed: int = 0,
 ) -> PolicyResult:
     """Episodic tabular Q-learning over (env state, status state).
@@ -259,18 +259,18 @@ def optimize_memory_q(
     state does not hold, so there learning is best-effort.  An episode
     whose filter passes no time updates nothing.
 
+    Each step of an episode takes a uniformly random action with
+    probability EPSILON (0.3, fixed), else the first best of its row.
     Reproducible per seed; zero episodes yield the policy that always
     takes the first declared action (empty table, lexicographic ties).
     """
     _check(env, scheme, horizon)
     if episodes < 0:
         raise ValueError("episodes must be >= 0")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     graph = _Graph(env, scheme.status)
     k, root, succ, child = graph.k, graph.root, graph.succ, graph.child
     rows = [[0.0] * k]  # node i's Q row
-    rng = random.Random(seed)
+    rng, epsilon = random.Random(seed), EPSILON
 
     def run_episode(explore: bool):
         """The nodes and edges of one episode from the root."""

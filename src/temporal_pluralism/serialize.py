@@ -496,9 +496,9 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
     lines = {"mode": mode_line, **{op: line for op, (line, _) in read.items()}}
     aggregation = _at(lines, path, Aggregation, mode=mode,
                       **{op: value for op, (_, value) in read.items()})
-    lineno, kind = field("filter.kind")
+    lineno, (kind,) = _once(found, "filter.kind", path)
     if kind not in _FILTERS:
-        raise FormatError(f"missing or unknown filter.kind '{kind}'", lineno, path)
+        raise FormatError(f"unknown filter.kind '{kind}'", lineno, path)
     make, params, _ = _FILTERS[kind]
     lines, args = {}, {}
     for key, name, type_ in params:

@@ -121,6 +121,9 @@ class TestEvaluate:
         ("always:a,b", 0, "score 0\n", ""),
         ("always:'a,b", 1, "", "error: bad policy 'always:'a,b': No closing quotation\n"),
         ("cycle:'a,b',,c", 1, "", "error: unknown restaurant type ''\n"),
+        ("cycle", 1, "",
+         "error: bad policy 'cycle' (try always:ACT, cycle:A,B, seq:A,B, random)\n"),
+        ("loop:a", 1, "", "error: unknown policy kind 'loop'\n"),
     ])
     def test_a_quoted_list_item_may_hold_a_comma(
         self, run_cli, tmp_path, policy, code, out, err
@@ -160,6 +163,21 @@ class TestEvaluate:
                 "--env", str(fixtures_dir / "restaurant5.env"),
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("source, flags, message", [
+        ("--env", ("--policy", "always:italian"), "--env requires --horizon"),
+        ("--traj", ("--policy", "cycle:nothing"), "--traj takes no --policy or --horizon"),
+        ("--traj", ("--horizon", "99"), "--traj takes no --policy or --horizon"),
+    ], ids=["env-without-horizon", "traj-with-policy", "traj-with-horizon"])
+    def test_a_rollout_flag_must_match_the_source(
+        self, run_cli, fixtures_dir, capsys, source, flags, message
+    ):
+        given = {"--env": "restaurant2.env", "--traj": "dinner.traj"}[source]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--scheme", fixtures_dir / "dinner_machine.scheme",
+                    source, fixtures_dir / given, *flags)
+        assert exc.value.code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_traj_and_env_are_exclusive(self, run_cli, fixtures_dir):
         with pytest.raises(SystemExit) as exc:
@@ -350,30 +368,15 @@ EVALUATE_R3 = ("evaluate", "--env", "restaurant3.env", "--scheme",
          "evaluate-horizon", "budget"],
 )
 def test_bad_numeric_arguments_are_usage_errors(
-    run_cli, fixtures_dir, tmp_path, monkeypatch, capsys, argv, message
+    run_cli, tmp_path, monkeypatch, capsys, argv, message
 ):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("PLURALISM_FIXTURE_DIR", str(fixtures_dir))
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"expected an integer {message}" in err
-
-
-@pytest.mark.parametrize("epsilon", ["nan", "-0.1", "1.5"])
-def test_epsilon_outside_the_unit_interval_is_a_usage_error(
-    run_cli, fixtures_dir, tmp_path, monkeypatch, capsys, epsilon
-):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("PLURALISM_FIXTURE_DIR", str(fixtures_dir))
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*OPTIMIZE_R3, "--method", "memory_q", "--horizon", "3", "--epsilon", epsilon)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert f"expected a number in [0, 1], got '{epsilon}'" in err
 
 
 class TestCompare:
@@ -762,26 +765,16 @@ def test_an_overflowed_score_prints_inf(run_cli, fixtures_dir, tmp_path):
     assert (tmp_path / "out" / "statuses.csv").read_text() == "t,u_1,u_2\n3,inf,inf\n"
 
 
-class TestFixtureDirFallback:
-    def test_bare_names_resolve_through_the_env_var(
-        self, run_cli, fixtures_dir, monkeypatch, tmp_path
-    ):
-        monkeypatch.chdir(tmp_path)  # nothing resolvable in cwd
-        monkeypatch.setenv("PLURALISM_FIXTURE_DIR", str(fixtures_dir))
-        code, out, err = run_cli(
-            "evaluate", "--scheme", "dinner_machine.scheme", "--traj", "dinner.traj"
-        )
-        assert code == 0
-        assert "score 1" in out
-
-    def test_explicit_paths_win(self, run_cli, fixtures_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("PLURALISM_FIXTURE_DIR", str(tmp_path))
-        code, out, err = run_cli(
-            "evaluate",
-            "--scheme", str(fixtures_dir / "dinner_machine.scheme"),
-            "--traj", str(fixtures_dir / "dinner.traj"),
-        )
-        assert code == 0
+def test_a_path_is_read_as_given(run_cli, fixtures_dir, monkeypatch, tmp_path):
+    """No directory is searched: a name missing from the working directory
+    is a missing file, whatever the environment holds."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PLURALISM_FIXTURE_DIR", str(fixtures_dir))
+    code, out, err = run_cli(
+        "evaluate", "--scheme", "dinner_machine.scheme", "--traj", "dinner.traj"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "dinner_machine.scheme" in err
 
 
 def test_main_returns_not_raises_on_domain_errors(tmp_path):

@@ -278,6 +278,10 @@ class TestRollout:
         t = rollout(env, cycle_policy(("italian", "sushi")), horizon=4)
         assert t.actions == ("italian", "sushi", "italian", "sushi")
 
+    def test_cycle_policy_needs_an_action(self):
+        with pytest.raises(ValueError, match="cycle needs at least one action"):
+            cycle_policy(())
+
     def test_sequence_policy_exhaustion(self):
         env = make_restaurant(2)
         with pytest.raises(InvalidActionError):

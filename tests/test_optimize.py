@@ -193,11 +193,10 @@ class TestMemoryQ:
         assert a.trajectory == b.trajectory
         assert a.score == b.score
 
-    @pytest.mark.parametrize("epsilon", [float("nan"), -0.1, 1.5])
-    def test_epsilon_must_be_a_probability(self, epsilon):
+    def test_episodes_must_not_be_negative(self):
         env, scheme = distinct_env(2), count_scheme(2)
-        with pytest.raises(ValueError, match="epsilon"):
-            optimize_memory_q(env, scheme, horizon=2, episodes=1, epsilon=epsilon)
+        with pytest.raises(ValueError, match="episodes must be >= 0"):
+            optimize_memory_q(env, scheme, horizon=2, episodes=-1)
 
     def test_zero_episodes_take_the_first_action_forever(self):
         env, scheme = distinct_env(2), count_scheme(2)
@@ -272,7 +271,8 @@ def test_memory_q_steps_each_status_state_once(monkeypatch, horizon):
 
     monkeypatch.setattr(optimize_module, "step_state", recording)
     monkeypatch.setattr(scheme_module, "step_state", recording)
-    optimize_memory_q(distinct_env(2), count_scheme(2), horizon, episodes=200, epsilon=1.0, seed=0)
+    monkeypatch.setattr(optimize_module, "EPSILON", 1.0)
+    optimize_memory_q(distinct_env(2), count_scheme(2), horizon, episodes=200, seed=0)
     learned = stepped[:-horizon]
     assert len(set(learned)) == len(learned)
     # A node at depth t is (v_t, the counts of t visits): t + 1 nodes with

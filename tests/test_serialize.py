@@ -280,6 +280,15 @@ class TestSchemeFormat:
         with pytest.raises(FormatError, match="filter.p"):
             parse_scheme_text(text)
 
+    @pytest.mark.parametrize("kind, message", [
+        ("", "in.txt: missing 'filter.kind' line"),
+        ("filter.kind sometimes\n", "in.txt:4: unknown filter.kind 'sometimes'"),
+    ], ids=["missing", "unknown"])
+    def test_filter_kind_is_required_and_known(self, kind, message):
+        with pytest.raises(FormatError) as exc:
+            parse_scheme_text(ONE + kind, "in.txt")
+        assert str(exc.value) == message
+
     def test_event_count_filter_needs_its_atom(self):
         text = "n 1\nsource 1 count a\naggregation.op product\nfilter.kind event_count\nfilter.k 2\n"
         with pytest.raises(FormatError, match="missing 'filter.atom' line"):
@@ -362,6 +371,10 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         (parse_trajectory_text, "init s0\nstep go s1 -\nstep go s2 a,a\n", 3),
         (parse_scheme_text, "n 1\nsource 1 count A-B\naggregation.op sum\nfilter.kind anytime\n", 2),
         (parse_scheme_text, ONE + "filter.kind event_count\nfilter.atom Q!\nfilter.k 1\n", 5),
+        (parse_scheme_text, "n 0\naggregation.op product\nfilter.kind long_term\n", 1),
+        (parse_machine_text, "alphabet a\nstate q init\nstate 'q0\n", 3),
+        (parse_machine_text, "version 1 2\nalphabet a\nstate q init\n", 1),
+        (parse_machine_text, "alphabet a\nstate q init\nstate q0 bogus\n", 3),
     ],
     ids=[
         "gamma-on-sum", "discounted-without-gamma", "index-out-of-range",
@@ -374,7 +387,8 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         "zero-friends", "shared-recipient-cell", "empty-grid", "start-off-grid",
         "repeated-state", "unknown-target-state", "repeated-atom",
         "empty-label-atom", "label-atom-not-a-name", "label-atom-twice",
-        "counted-atom-not-a-name", "filter-atom-not-a-name",
+        "counted-atom-not-a-name", "filter-atom-not-a-name", "no-stakeholders",
+        "unbalanced-quote", "version-with-two-arguments", "state-with-a-bad-flag",
     ],
 )
 def test_reader_rejects_the_line(parse, text, line):
