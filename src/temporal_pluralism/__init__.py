@@ -56,50 +56,3 @@ from .serialize import (
     save_scheme,
     save_trajectory,
 )
-
-__all__ = [
-    "Aggregation",
-    "AnytimeFilter",
-    "AtomCountSource",
-    "DeliveryConfig",
-    "DeliveryGridEnv",
-    "EventCountFilter",
-    "LongTermFilter",
-    "MachineSource",
-    "MarkovTableSource",
-    "PeriodicFilter",
-    "PluralismError",
-    "PolicyResult",
-    "RestaurantConfig",
-    "RestaurantEnv",
-    "RewardMachine",
-    "Scheme",
-    "StakeholderStatus",
-    "StatusFunction",
-    "Trajectory",
-    "Transition",
-    "aggregate",
-    "cycle_policy",
-    "filter_times",
-    "load_env",
-    "load_machine",
-    "load_scheme",
-    "load_trajectory",
-    "optimize_exhaustive",
-    "optimize_greedy",
-    "optimize_memory_q",
-    "parse_formula",
-    "pluralism_score",
-    "print_formula",
-    "random_policy",
-    "replay",
-    "rollout",
-    "run_machine",
-    "save_env",
-    "save_machine",
-    "save_scheme",
-    "save_trajectory",
-    "sequence_policy",
-    "status_eval",
-    "validate_machine",
-]

@@ -18,8 +18,6 @@ import sys
 from pathlib import Path
 
 from .environment import (
-    DeliveryGridEnv,
-    RestaurantEnv,
     cycle_policy,
     random_policy,
     rollout,
@@ -27,8 +25,8 @@ from .environment import (
 )
 from .errors import PluralismError
 from .formula import format_valuation, print_formula
-from .machine import RewardMachine
-from .optimize import DEFAULT_BUDGET, optimize_exhaustive, optimize_greedy, optimize_memory_q
+from .machine import VALID_MACHINE
+from .optimize import optimize_exhaustive, optimize_greedy, optimize_memory_q
 from .scheme import (
     AnytimeFilter,
     PeriodicFilter,
@@ -38,6 +36,7 @@ from .scheme import (
     pluralism_score,
 )
 from .serialize import (
+    env_description,
     format_real,
     kind_phrase,
     load_env,
@@ -102,14 +101,14 @@ def cmd_validate(args) -> int:
     failed = False
     for path in args.paths:
         try:
-            loaded = _file_kind(path)[0](path)
+            load, _, verdict = _file_kind(path)
+            load(path)
         except (PluralismError, OSError) as err:
             print(f"{path}: INVALID")
             print(f"  {err}")
             failed = True
             continue
-        check = f" ({_VALID_MACHINE})" if isinstance(loaded, RewardMachine) else ""
-        print(f"{path}: ok{check}")
+        print(f"{path}: ok{verdict}")
     return 1 if failed else 0
 
 
@@ -157,16 +156,27 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# optimize --method -> the one option of its own it reads
+_METHOD_FLAGS = {"exhaustive": "budget", "greedy": "lookahead", "memory_q": "episodes"}
+
+
 def cmd_optimize(args) -> int:
+    given = {flag: getattr(args, flag) for flag in _METHOD_FLAGS.values()
+             if getattr(args, flag) is not None}
+    foreign = [flag for flag in given if flag != _METHOD_FLAGS[args.method]]
+    if foreign:
+        args.parser.error(f"--method {args.method} takes no --{foreign[0]}")
     env = load_env(args.env)
     scheme = load_scheme(args.scheme)
+    # Each optimizer is called through its name in this module (which
+    # perfbench/tracer.py patches) and gets only the option given, so its
+    # own signature holds the default.
     if args.method == "exhaustive":
-        result = optimize_exhaustive(env, scheme, args.horizon, budget=args.budget)
+        result = optimize_exhaustive(env, scheme, args.horizon, **given)
     elif args.method == "greedy":
-        result = optimize_greedy(env, scheme, args.horizon, lookahead=args.lookahead)
+        result = optimize_greedy(env, scheme, args.horizon, **given)
     else:
-        result = optimize_memory_q(env, scheme, args.horizon, episodes=args.episodes,
-                                   seed=args.seed)
+        result = optimize_memory_q(env, scheme, args.horizon, seed=args.seed, **given)
     write_results(result, scheme, args.out)
     print(f"score {format_real(result.score)}")
     print(f"evaluations {result.evaluations}")
@@ -192,13 +202,9 @@ def cmd_compare(args) -> int:
 
 def cmd_describe(args) -> int:
     for path in args.paths:
-        load, describe = _file_kind(path)
+        load, describe, _ = _file_kind(path)
         describe(path, load(path))
     return 0
-
-
-# What load_machine guarantees of every machine it returns.
-_VALID_MACHINE = "deterministic, total"
 
 
 def _describe_machine(given: str, machine) -> None:
@@ -208,7 +214,7 @@ def _describe_machine(given: str, machine) -> None:
     print(f"  initial: {machine.initial}")
     for t in machine.transitions:
         print(f"  {t.source} --[{print_formula(t.guard)}] {format_real(t.reward)}--> {t.target}")
-    print(f"  check: {_VALID_MACHINE}")
+    print(f"  check: {VALID_MACHINE}")
 
 
 def _describe_scheme(given: str, scheme) -> None:
@@ -218,29 +224,16 @@ def _describe_scheme(given: str, scheme) -> None:
         if acc == "discounted":
             acc += f" (gamma {format_real(sk.gamma)})"
         print(f"  stakeholder {i}: {kind_phrase(sk.source)}, {acc}")
-    agg = scheme.aggregation
-    if agg.mode == "flattened":
-        print(f"  aggregation: flattened {agg.op}")
-    else:
-        print(f"  aggregation: {agg.mode}, inner {agg.inner_op}, outer {agg.outer_op}")
+    print(f"  aggregation: {kind_phrase(scheme.aggregation)}")
     print(f"  filter: {kind_phrase(scheme.filter)}")
     print(f"  empty filter: {scheme.empty_filter}")
 
 
 def _describe_env(given: str, env) -> None:
-    if isinstance(env, RestaurantEnv):
-        cfg = env.config
-        print(f"{given}: restaurant environment, {cfg.n_friends} friends")
-        print(f"  types: {', '.join(cfg.restaurant_types)}")
-        for i, pref in enumerate(cfg.preferred, start=1):
-            print(f"  friend {i} prefers {pref}")
-    elif isinstance(env, DeliveryGridEnv):
-        cfg = env.config
-        print(f"{given}: delivery grid {cfg.width}x{cfg.height}, "
-              f"{len(cfg.recipients)} recipients")
-        print(f"  start: {cfg.start[0]},{cfg.start[1]}")
-        for i, (x, y) in enumerate(cfg.recipients, start=1):
-            print(f"  recipient {i} at {x},{y}")
+    heading, *details = env_description(env)
+    print(f"{given}: {heading}")
+    for line in details:
+        print(f"  {line}")
     print(f"  actions: {', '.join(env.actions)}")
     print(f"  alphabet: {', '.join(env.alphabet)}")
 
@@ -259,14 +252,15 @@ def _describe_trajectory(given: str, traj) -> None:
         print(f"  {t}: {action} --> {state} {format_valuation(label)}")
 
 
-# suffix -> (loader: path -> object, describer: (given, object) -> None);
-# validate only loads, describe loads and then describes
+# suffix -> (loader: path -> object, describer: (given, object) -> None,
+# what validate prints after `ok`); validate only loads, describe loads and
+# then describes.  load_machine returns only valid machines.
 _FILE_KINDS = {
-    ".rm": (load_machine, _describe_machine),
-    ".scheme": (load_scheme, _describe_scheme),
-    ".env": (load_env, _describe_env),
-    ".traj": (load_trajectory, _describe_trajectory),
-    ".mt": (load_markov_table, _describe_markov_table),
+    ".rm": (load_machine, _describe_machine, f" ({VALID_MACHINE})"),
+    ".scheme": (load_scheme, _describe_scheme, ""),
+    ".env": (load_env, _describe_env, ""),
+    ".traj": (load_trajectory, _describe_trajectory, ""),
+    ".mt": (load_markov_table, _describe_markov_table, ""),
 }
 
 
@@ -323,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--horizon", type=_int_at_least(0), required=True)
     op.add_argument("--seed", type=int, required=True, help="read only by memory_q")
     op.add_argument("--out", required=True, help="directory for result files")
-    op.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
-    op.add_argument("--lookahead", type=_int_at_least(1), default=1)
-    op.add_argument("--episodes", type=_int_at_least(0), default=5000)
+    op.add_argument("--budget", type=_int_at_least(0), help="exhaustive only")
+    op.add_argument("--lookahead", type=_int_at_least(1), help="greedy only")
+    op.add_argument("--episodes", type=_int_at_least(0), help="memory_q only")
     op.set_defaults(func=cmd_optimize, parser=op)
 
     cp = sub.add_parser("compare", help="score one trajectory under several schemes")

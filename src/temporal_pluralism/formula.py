@@ -131,19 +131,18 @@ class _Parser:
         return levels
 
     def parse_or(self) -> tuple:
-        node, height = self.parse_and()
-        while self._peek() == "|":
-            self.pos += 1
-            right, right_height = self.parse_and()
-            node, height = Or(node, right), self._within(max(height, right_height) + 1)
-        return node, height
+        return self._chain("|", Or, self.parse_and)
 
     def parse_and(self) -> tuple:
-        node, height = self.parse_unary()
-        while self._peek() == "&":
+        return self._chain("&", And, self.parse_unary)
+
+    def _chain(self, glyph: str, node_type, operand) -> tuple:
+        """operand (glyph operand)*, folded to the left into node_type nodes."""
+        node, height = operand()
+        while self._peek() == glyph:
             self.pos += 1
-            right, right_height = self.parse_unary()
-            node, height = And(node, right), self._within(max(height, right_height) + 1)
+            right, right_height = operand()
+            node, height = node_type(node, right), self._within(max(height, right_height) + 1)
         return node, height
 
     def parse_unary(self) -> tuple:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import FieldError, PluralismError
 from .formula import (
@@ -86,6 +86,10 @@ class NotTotal:
         return f"state {self.state}: no guard holds on {format_valuation(self.valuation)}"
 
 
+# What validate_machine reports of a valid machine.
+VALID_MACHINE = "deterministic, total"
+
+
 @dataclass(frozen=True)
 class MachineValidation:
     ok: bool
@@ -93,7 +97,7 @@ class MachineValidation:
 
     def describe(self) -> str:
         if self.ok:
-            return "deterministic, total"
+            return VALID_MACHINE
         return "; ".join(p.describe() for p in self.problems)
 
 
@@ -144,9 +148,6 @@ class RewardMachine:
             by_source[t.source].append((i, t))
         object.__setattr__(self, "_by_source", by_source)
 
-    def outgoing(self, state: str):
-        return self._by_source[state]
-
 
 def validate_machine(machine: RewardMachine) -> MachineValidation:
     """Exhaustively check determinism and totality.
@@ -158,7 +159,7 @@ def validate_machine(machine: RewardMachine) -> MachineValidation:
     """
     problems: list = []
     for state in machine.states:
-        outgoing = machine.outgoing(state)
+        outgoing = machine._by_source[state]
         for valuation in all_valuations(machine.alphabet):
             enabled = [i for i, t in outgoing if eval_formula(t.guard, valuation)]
             if len(enabled) > 1:
@@ -182,9 +183,10 @@ def step_machine(machine: RewardMachine, state: str, valuation) -> tuple[str, fl
     Takes the first enabled transition in declaration order, which on a
     valid machine is also the only one.
     """
-    if state not in machine._by_source:
+    outgoing = machine._by_source.get(state)
+    if outgoing is None:
         raise InvalidStateError(f"machine has no state '{state}'")
-    for _, t in machine.outgoing(state):
+    for _, t in outgoing:
         if eval_formula(t.guard, valuation):
             return t.target, t.reward
     raise NoEnabledTransitionError(
@@ -199,7 +201,12 @@ class MachineRun:
 
     @property
     def total(self) -> float:
-        return sum(self.rewards)
+        """The rewards added in step order, as a `sum` status adds them
+        (the builtin sum rounds otherwise from Python 3.12 on)."""
+        total = 0.0
+        for reward in self.rewards:
+            total += reward
+        return total
 
 
 def run_machine(machine: RewardMachine, labels: Iterable[frozenset]) -> MachineRun:
@@ -216,7 +223,3 @@ def run_machine(machine: RewardMachine, labels: Iterable[frozenset]) -> MachineR
         visited.append(state)
         rewards.append(reward)
     return MachineRun(visited=tuple(visited), rewards=tuple(rewards))
-
-
-def machine_reward(machine: RewardMachine, labels: Iterable[frozenset]) -> float:
-    return run_machine(machine, labels).total

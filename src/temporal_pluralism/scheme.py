@@ -245,7 +245,10 @@ def state_vector(status: StatusFunction, state: tuple) -> tuple:
 # extended aggregation
 
 _OPS = ("product", "sum", "min", "mean")
-_MODES = ("flattened", "time_then_stakeholders", "stakeholders_then_time")
+_NESTED = ("inner_op", "outer_op")
+# aggregation mode -> the op fields of Aggregation it reads; it refuses the others
+AGGREGATION_MODES = {"flattened": ("op",), "time_then_stakeholders": _NESTED,
+                     "stakeholders_then_time": _NESTED}
 
 
 def _reduce(op: str, values: Sequence[float]) -> float:
@@ -284,21 +287,17 @@ class Aggregation:
     outer_op: str = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in AGGREGATION_MODES:
             raise FieldError(f"unknown aggregation mode '{self.mode}'", "mode")
-        if self.mode == "flattened":
-            if self.op not in _OPS:
-                raise FieldError(f"flattened aggregation needs op in {_OPS}", "op")
-            if self.inner_op is not None or self.outer_op is not None:
-                raise ValueError("inner_op/outer_op are for the nested modes")
-        else:
-            for name in ("inner_op", "outer_op"):
-                if getattr(self, name) not in _OPS:
-                    raise FieldError(
-                        f"nested aggregation needs inner_op and outer_op in {_OPS}", name
-                    )
-            if self.op is not None:
-                raise ValueError("op is for flattened mode")
+        reads = AGGREGATION_MODES[self.mode]
+        for name in reads:
+            if getattr(self, name) not in _OPS:
+                family = "nested" if reads is _NESTED else self.mode
+                raise FieldError(f"{family} aggregation needs {' and '.join(reads)} in {_OPS}",
+                                 name)
+        for name in ("op", *_NESTED):
+            if name not in reads and getattr(self, name) is not None:
+                raise FieldError(f"{self.mode} aggregation reads no {name}", name)
 
 
 def aggregate(agg: Aggregation, vectors: Sequence) -> float:

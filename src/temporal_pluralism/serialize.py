@@ -10,8 +10,10 @@ the line rules all formats share; writers render through one function,
 _text, its mirror, and write through _write, the mirror of _read.  A
 scheme's source and filter kinds are stated once, in the tables _SOURCES
 and _FILTERS (each kind's class, how it is read and written, and the phrase
-`describe` prints), and the op fields of each aggregation mode once, in
-_ops; the scheme reader and writer and kind_phrase all drive off them.
+`describe` prints), the op fields of each aggregation mode once, in
+scheme.AGGREGATION_MODES, with its phrase in _AGGREGATIONS; the scheme
+reader and writer and kind_phrase all drive off them.  Env kinds are stated
+once, in _ENVS, which env_to_text, parse_env_text and env_description read.
 
 Reals are written as the shortest string that parses back to the same
 double, with integral values written as plain integers.
@@ -38,6 +40,7 @@ from .formula import check_alphabet, parse_formula, print_formula
 from .machine import RewardMachine, Transition, require_valid
 from .optimize import PolicyResult
 from .scheme import (
+    AGGREGATION_MODES,
     Aggregation,
     AnytimeFilter,
     AtomCountSource,
@@ -283,34 +286,6 @@ def save_machine(machine: RewardMachine, path) -> None:
 # environments (.env)
 
 
-def env_to_text(env: LabelledEnv) -> str:
-    if isinstance(env, RestaurantEnv):
-        cfg = env.config
-        lines = [("env", "restaurant"), ("n_friends", cfg.n_friends),
-                 ("types", *cfg.restaurant_types)]
-        lines += [("prefers", i, pref) for i, pref in enumerate(cfg.preferred, start=1)]
-    elif isinstance(env, DeliveryGridEnv):
-        cfg = env.config
-        lines = [("env", "delivery_grid"), ("grid", cfg.width, cfg.height), ("start", *cfg.start)]
-        lines += [("recipient", x, y) for x, y in cfg.recipients]
-    else:
-        raise ValueError(f"no text form for {type(env).__name__}")
-    return _text(lines)
-
-
-def parse_env_text(text: str, path: str = None) -> LabelledEnv:
-    lines = _logical_lines(text, path)
-    if not lines or lines[0][1][0] != "env" or len(lines[0][1]) != 2:
-        raise FormatError("first line must be `env restaurant` or `env delivery_grid`",
-                          lines[0][0] if lines else None, path)
-    lineno, (_, kind) = lines[0]
-    if kind == "restaurant":
-        return _parse_restaurant(lines[1:], path)
-    if kind == "delivery_grid":
-        return _parse_delivery(lines[1:], path)
-    raise FormatError(f"unknown env kind '{kind}'", lineno, path)
-
-
 def _parse_restaurant(body: list, path: str) -> RestaurantEnv:
     found = _directives(body, path, {"n_friends": "N", "types": "[TYPE...]", "prefers": "I TYPE"})
     n_line, (count,) = _once(found, "n_friends", path)
@@ -336,6 +311,60 @@ def _parse_delivery(body: list, path: str) -> DeliveryGridEnv:
     lines.update({("recipients", i): lineno for i, (lineno, _) in enumerate(recipients)})
     cells = tuple(cell for _, cell in recipients)
     return DeliveryGridEnv(_at(lines, path, DeliveryConfig, width, height, start, cells))
+
+
+# env keyword -> (env class, its reader of the lines after `env KIND`, the
+# directives that write its config back, the lines `describe` prints of its
+# config).  An env matches the first row whose class it is an instance of.
+_ENVS = {
+    "restaurant": (
+        RestaurantEnv, _parse_restaurant,
+        lambda cfg: [("n_friends", cfg.n_friends), ("types", *cfg.restaurant_types),
+                     *[("prefers", i, pref) for i, pref in enumerate(cfg.preferred, start=1)]],
+        lambda cfg: [f"restaurant environment, {cfg.n_friends} friends",
+                     f"types: {', '.join(cfg.restaurant_types)}",
+                     *[f"friend {i} prefers {pref}"
+                       for i, pref in enumerate(cfg.preferred, start=1)]]),
+    "delivery_grid": (
+        DeliveryGridEnv, _parse_delivery,
+        lambda cfg: [("grid", cfg.width, cfg.height), ("start", *cfg.start),
+                     *[("recipient", x, y) for x, y in cfg.recipients]],
+        lambda cfg: [f"delivery grid {cfg.width}x{cfg.height}, {len(cfg.recipients)} recipients",
+                     f"start: {cfg.start[0]},{cfg.start[1]}",
+                     *[f"recipient {i} at {x},{y}"
+                       for i, (x, y) in enumerate(cfg.recipients, start=1)]]),
+}
+
+
+def _env_kind(env: LabelledEnv) -> tuple:
+    """(keyword, row) of the _ENVS row `env` matches; an env of no row has
+    no text form."""
+    for kind, row in _ENVS.items():
+        if isinstance(env, row[0]):
+            return kind, row
+    raise ValueError(f"no text form for {type(env).__name__}")
+
+
+def env_description(env: LabelledEnv) -> list:
+    """The lines `describe` prints of the config of `env`: a heading, then
+    one line per detail."""
+    return _env_kind(env)[1][3](env.config)
+
+
+def env_to_text(env: LabelledEnv) -> str:
+    kind, row = _env_kind(env)
+    return _text([("env", kind), *row[2](env.config)])
+
+
+def parse_env_text(text: str, path: str = None) -> LabelledEnv:
+    lines = _logical_lines(text, path)
+    if not lines or lines[0][1][0] != "env" or len(lines[0][1]) != 2:
+        raise FormatError("first line must be " + " or ".join(f"`env {kind}`" for kind in _ENVS),
+                          lines[0][0] if lines else None, path)
+    lineno, (_, kind) = lines[0]
+    if kind not in _ENVS:
+        raise FormatError(f"unknown env kind '{kind}'", lineno, path)
+    return _ENVS[kind][1](lines[1:], path)
 
 
 def load_env(path) -> LabelledEnv:
@@ -412,16 +441,23 @@ def _kind(table: dict, part) -> str:
     return next(kind for kind, row in table.items() if type(part) is row[0])
 
 
+# aggregation.mode -> describe's phrase (the op fields each mode reads are
+# scheme.AGGREGATION_MODES)
+_NESTED_PHRASE = "{mode}, inner {inner_op}, outer {outer_op}"
+_AGGREGATIONS = {"flattened": "flattened {op}", "time_then_stakeholders": _NESTED_PHRASE,
+                 "stakeholders_then_time": _NESTED_PHRASE}
+
+
 def kind_phrase(part) -> str:
-    """The phrase `describe` prints for a scheme's source or filter: the
-    last column of its row, filled in from its fields."""
-    row = next(row for row in (*_SOURCES.values(), *_FILTERS.values()) if type(part) is row[0])
-    return row[-1].format_map(vars(part))
-
-
-def _ops(mode: str) -> tuple:
-    """The Aggregation fields an aggregation `mode` reads."""
-    return ("op",) if mode == "flattened" else ("inner_op", "outer_op")
+    """The phrase `describe` prints for a scheme's source, filter or
+    aggregation: the last column of its row (an aggregation's row is its
+    mode's), filled in from its fields."""
+    if type(part) is Aggregation:
+        phrase = _AGGREGATIONS[part.mode]
+    else:
+        rows = (*_SOURCES.values(), *_FILTERS.values())
+        phrase = next(row[-1] for row in rows if type(part) is row[0])
+    return phrase.format_map(vars(part))
 
 
 def scheme_to_text(scheme: Scheme) -> str:
@@ -438,7 +474,7 @@ def scheme_to_text(scheme: Scheme) -> str:
               for i, sk in stakeholders if sk.accumulation == "discounted"]
     agg, filt = scheme.aggregation, scheme.filter
     lines.append(("aggregation.mode", agg.mode))
-    lines += [(f"aggregation.{op}", getattr(agg, op)) for op in _ops(agg.mode)]
+    lines += [(f"aggregation.{op}", getattr(agg, op)) for op in AGGREGATION_MODES[agg.mode]]
     kind = _kind(_FILTERS, filt)
     lines.append(("filter.kind", kind))
     lines += [(key, getattr(filt, name)) for key, name, _ in _FILTERS[kind][1]]
@@ -492,7 +528,7 @@ def parse_scheme_text(text: str, path: str = None, base_dir=None) -> Scheme:
         stakeholders.append(_at(lines, path, StakeholderStatus, source,
                                 accumulation, _parse_real(gamma, gamma_line, path)))
     mode_line, mode = field("aggregation.mode", "flattened")
-    read = {op: field(f"aggregation.{op}") for op in _ops(mode)}
+    read = {op: field(f"aggregation.{op}") for op in AGGREGATION_MODES.get(mode, ())}
     lines = {"mode": mode_line, **{op: line for op, (line, _) in read.items()}}
     aggregation = _at(lines, path, Aggregation, mode=mode,
                       **{op: value for op, (_, value) in read.items()})

@@ -329,6 +329,26 @@ class TestOptimize:
         assert "error: 5^10000 sequences exceed the budget" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method, flags, message", [
+        ("greedy", ("--budget", "1"), "--method greedy takes no --budget"),
+        ("exhaustive", ("--lookahead", "3", "--episodes", "9"),
+         "--method exhaustive takes no --lookahead"),
+        ("memory_q", ("--budget", "5", "--episodes", "9"), "--method memory_q takes no --budget"),
+        ("greedy", ("--episodes", "9"), "--method greedy takes no --episodes"),
+    ], ids=["greedy-budget", "exhaustive-lookahead-episodes", "memory_q-budget",
+            "greedy-episodes"])
+    def test_a_flag_of_another_method_is_a_usage_error(
+        self, run_cli, fixtures_dir, tmp_path, capsys, method, flags, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("optimize", "--env", str(fixtures_dir / "restaurant2.env"),
+                    "--scheme", str(fixtures_dir / "restaurant2_anytime_nash.scheme"),
+                    "--method", method, "--horizon", "2", "--seed", "0",
+                    "--out", str(tmp_path / "run"), *flags)
+        assert exc.value.code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_greedy_with_lookahead(self, run_cli, fixtures_dir, tmp_path):
         code, out, err = run_cli(
             "optimize",
@@ -847,11 +867,13 @@ def test_mutated_fixtures_exit_cleanly(data):
         env, scheme, traj, victim = (str(work / n) for n in (env, scheme, traj, victim))
         runs = [["validate", victim], ["describe", victim],
                 ["evaluate", "--scheme", scheme, "--traj", traj]]
-        for method in ("exhaustive", "greedy", "memory_q"):
+        own = {"exhaustive": [],
+               "greedy": ["--lookahead", str(data.draw(st.integers(1, 3)))],
+               "memory_q": ["--episodes", str(data.draw(st.integers(0, 20)))]}
+        for method, flags in own.items():
             runs.append(["optimize", "--env", env, "--scheme", scheme, "--method", method,
                          "--horizon", horizon, "--seed", "0", "--out", str(work / "out"),
-                         "--lookahead", str(data.draw(st.integers(1, 3))),
-                         "--episodes", str(data.draw(st.integers(0, 20)))])
+                         *flags])
         for argv in runs:
             code, err = _exit_code(argv)
             assert code in (0, 1, 2), argv

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from temporal_pluralism.environment import Trajectory
 from temporal_pluralism.formula import parse_formula
 from temporal_pluralism.machine import (
     InvalidStateError,
@@ -11,12 +12,12 @@ from temporal_pluralism.machine import (
     NotTotal,
     RewardMachine,
     Transition,
-    machine_reward,
     require_valid,
     run_machine,
     step_machine,
     validate_machine,
 )
+from temporal_pluralism.scheme import MachineSource, StakeholderStatus, StatusFunction, status_eval
 
 ALPHA = ("pasta", "cake")
 
@@ -59,16 +60,16 @@ class TestDinnerMachine:
         assert run.visited == ("u0", "u1", "u2")
 
     def test_cake_first_pays_nothing(self, dinner):
-        assert machine_reward(dinner, labels({"cake"}, {"pasta"})) == 0.0
+        assert run_machine(dinner, labels({"cake"}, {"pasta"})).total == 0.0
 
     def test_waiting_before_pasta_still_pays(self, dinner):
-        assert machine_reward(dinner, labels({}, {"pasta"}, {}, {"cake"})) == 1.0
+        assert run_machine(dinner, labels({}, {"pasta"}, {}, {"cake"})).total == 1.0
 
     def test_pasta_and_cake_together_is_cake_first(self, dinner):
-        assert machine_reward(dinner, labels({"pasta", "cake"}, {"cake"})) == 0.0
+        assert run_machine(dinner, labels({"pasta", "cake"}, {"cake"})).total == 0.0
 
     def test_no_cake_at_all(self, dinner):
-        assert machine_reward(dinner, labels({"pasta"}, {"pasta"})) == 0.0
+        assert run_machine(dinner, labels({"pasta"}, {"pasta"})).total == 0.0
 
     def test_empty_sequence(self, dinner):
         run = run_machine(dinner, [])
@@ -183,6 +184,22 @@ class TestStepping:
 
     def test_step_returns_target_and_reward(self, dinner):
         assert step_machine(dinner, "u1", frozenset({"cake"})) == ("u2", 1.0)
+
+
+def test_the_total_adds_in_step_order_as_a_sum_status_does():
+    # The builtin sum gives 0.6 here from Python 3.12 on; a left-to-right
+    # fold, as a status accumulates, gives 0.6000000000000001.
+    m = RewardMachine(
+        states=("q0", "q1", "q2"),
+        initial="q0",
+        alphabet=(),
+        transitions=(Transition("q0", g("true", ()), "q1", 0.1),
+                     Transition("q1", g("true", ()), "q2", 0.2),
+                     Transition("q2", g("true", ()), "q0", 0.3)),
+    )
+    traj = Trajectory(states=("s",) * 4, actions=("a",) * 3, labels=(frozenset(),) * 3)
+    status = StatusFunction((StakeholderStatus(MachineSource(m)),))
+    assert run_machine(m, traj.labels).total == status_eval(status, traj)[0] == 0.1 + 0.2 + 0.3
 
 
 label_seqs = st.lists(st.frozensets(st.sampled_from(ALPHA)), max_size=8)

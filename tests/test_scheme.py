@@ -11,6 +11,7 @@ from temporal_pluralism.errors import FieldError, PluralismError
 from temporal_pluralism.formula import parse_formula
 from temporal_pluralism.machine import RewardMachine, Transition
 from temporal_pluralism.scheme import (
+    AGGREGATION_MODES,
     Aggregation,
     AlphabetMismatchError,
     AnytimeFilter,
@@ -328,6 +329,27 @@ class TestAggregate:
             Aggregation(mode="time_then_stakeholders", inner_op="sum")
         with pytest.raises(ValueError):
             Aggregation(mode="time_then_stakeholders", inner_op="sum", outer_op="sum", op="min")
+
+    @pytest.mark.parametrize("mode, needs", [
+        ("flattened", "flattened aggregation needs op in"),
+        ("time_then_stakeholders", "nested aggregation needs inner_op and outer_op in"),
+        ("stakeholders_then_time", "nested aggregation needs inner_op and outer_op in"),
+    ])
+    def test_a_mode_takes_exactly_the_op_fields_it_reads(self, mode, needs):
+        reads = AGGREGATION_MODES[mode]
+        for name in ("op", "inner_op", "outer_op"):
+            fields = dict.fromkeys(reads, "sum") | {name: "min"}
+            if name in reads:
+                assert getattr(Aggregation(mode, **fields), name) == "min"
+                del fields[name]
+                message = f"{needs} ('product', 'sum', 'min', 'mean')"
+            else:
+                message = f"{mode} aggregation reads no {name}"
+            with pytest.raises(FieldError, match=f"^{re.escape(message)}$") as exc:
+                Aggregation(mode, **fields)
+            assert exc.value.field == name
+        with pytest.raises(FieldError, match="^unknown aggregation mode 'diagonal'$"):
+            Aggregation("diagonal", **dict.fromkeys(reads, "sum"))
 
 
 def two_friend_env():

@@ -170,6 +170,22 @@ class TestEnvFormat:
         with pytest.raises(FormatError, match="casino"):
             parse_env_text("env casino\n")
 
+    def test_the_first_line_names_every_kind(self):
+        message = "^in.env:1: first line must be `env restaurant` or `env delivery_grid`$"
+        with pytest.raises(FormatError, match=message):
+            parse_env_text("n_friends 3\n", "in.env")
+
+    def test_an_env_of_no_known_kind_has_no_text_form(self):
+        with pytest.raises(ValueError, match="^no text form for object$"):
+            env_to_text(object())
+
+    def test_a_subclass_is_written_as_its_kind(self):
+        class Bistro(RestaurantEnv):
+            pass
+
+        env = Bistro(RestaurantConfig(n_friends=1, restaurant_types=("a",), preferred=("a",)))
+        assert env_to_text(env).splitlines()[1] == "env restaurant"
+
     def test_missing_kind_line(self):
         with pytest.raises(FormatError):
             parse_env_text("n_friends 3\n")
@@ -375,6 +391,8 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         (parse_machine_text, "alphabet a\nstate q init\nstate 'q0\n", 3),
         (parse_machine_text, "version 1 2\nalphabet a\nstate q init\n", 1),
         (parse_machine_text, "alphabet a\nstate q init\nstate q0 bogus\n", 3),
+        (parse_scheme_text, ONE.replace("aggregation.op product", "aggregation.mode bogus")
+         + "aggregation.inner_op min\naggregation.inner_op min\nfilter.kind long_term\n", 3),
     ],
     ids=[
         "gamma-on-sum", "discounted-without-gamma", "index-out-of-range",
@@ -389,6 +407,7 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         "empty-label-atom", "label-atom-not-a-name", "label-atom-twice",
         "counted-atom-not-a-name", "filter-atom-not-a-name", "no-stakeholders",
         "unbalanced-quote", "version-with-two-arguments", "state-with-a-bad-flag",
+        "unknown-mode-before-a-repeated-op",
     ],
 )
 def test_reader_rejects_the_line(parse, text, line):
