@@ -13,6 +13,13 @@ whitespace-insensitive, `!` binds tighter than `&`, which binds tighter than
 The glyph `⊤` is accepted as an alias for `true`.  Atoms are lowercase
 identifiers and must belong to the alphabet declared alongside the formula;
 unknown atoms are an error, never implicitly created.
+
+A node compiles on its first evaluation to a one-argument test of a
+valuation, cached on the node, so a guard's tree is walked once, not on
+every evaluation.  An atom's test is `frozenset((name,)).issubset` and a
+negated atom's `.isdisjoint`, C calls with no Python frame; `&`, `|` and
+any other `!` are closures over their children's tests.  `eval_formula`
+is the one entry point to them.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import PluralismError
@@ -44,35 +52,46 @@ class UnknownAtomError(PluralismError):
         self.position = position
 
 
+class _Node:
+    """A formula node; `_test` is its compiled truth function."""
+
+    @cached_property
+    def _test(self):
+        return _compile(self)
+
+    def __getstate__(self):  # a closure does not pickle; it is rebuilt on use
+        return {k: v for k, v in self.__dict__.items() if k != "_test"}
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     operand: "PropFormula"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "PropFormula"
     right: "PropFormula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "PropFormula"
     right: "PropFormula"
 
 
 @dataclass(frozen=True)
-class ConstTrue:
+class ConstTrue(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class ConstFalse:
+class ConstFalse(_Node):
     pass
 
 
@@ -196,18 +215,36 @@ def parse_formula(text: str, alphabet: Iterable[str]) -> PropFormula:
 
 def eval_formula(formula: PropFormula, valuation) -> bool:
     """Standard propositional semantics against a set of true atom names."""
+    return _test_of(formula)(valuation)
+
+
+def _test_of(formula):
+    """The compiled test of `formula`, built on first use."""
+    try:
+        return formula._test
+    except AttributeError:
+        raise TypeError(f"not a formula: {formula!r}") from None
+
+
+def _compile(formula: PropFormula):
+    """The one-argument test of a valuation that `formula` is."""
     if isinstance(formula, Atom):
-        return formula.name in valuation
+        return frozenset((formula.name,)).issubset
     if isinstance(formula, Not):
-        return not eval_formula(formula.operand, valuation)
+        if isinstance(formula.operand, Atom):
+            return frozenset((formula.operand.name,)).isdisjoint
+        operand = _test_of(formula.operand)
+        return lambda valuation: not operand(valuation)
     if isinstance(formula, And):
-        return eval_formula(formula.left, valuation) and eval_formula(formula.right, valuation)
+        left, right = _test_of(formula.left), _test_of(formula.right)
+        return lambda valuation: left(valuation) and right(valuation)
     if isinstance(formula, Or):
-        return eval_formula(formula.left, valuation) or eval_formula(formula.right, valuation)
+        left, right = _test_of(formula.left), _test_of(formula.right)
+        return lambda valuation: left(valuation) or right(valuation)
     if isinstance(formula, ConstTrue):
-        return True
+        return lambda valuation: True
     if isinstance(formula, ConstFalse):
-        return False
+        return lambda valuation: False
     raise TypeError(f"not a formula: {formula!r}")
 
 

@@ -13,6 +13,11 @@ is checked by exhaustive enumeration, which is exact but visits all
 `pluralism validate` of a one-state machine took 0.18 s, 0.21 s and 0.42 s
 at 12, 14 and 16 atoms (process start included; a shared 2-CPU Xeon host,
 Python 3.11.7); see docs/formats.md.
+
+A step tries the state's outgoing guards in declaration order, one
+`eval_formula` call each; a guard is compiled to a test on its first
+evaluation (see formula), so neither a step nor validation walks a guard's
+tree again.
 """
 
 from __future__ import annotations

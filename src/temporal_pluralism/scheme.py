@@ -21,6 +21,13 @@ empty prefix's, `step_state` advances it by one transition, and
 trajectory, and the memory_q learner keys its Q-table on it and scores its
 episodes from it.
 
+What is fixed per status function is decided once, not on every step.
+`step_state` runs `StatusFunction.step`, a function generated on first
+use with one line per stakeholder, so no step tests a source's type
+(the way `dataclasses` and `namedtuple` build their methods).  Its text
+holds only stakeholder indices and source kinds, and every constant is an
+argument, so status functions of one shape share one compiled factory.
+
 A label some machine stakeholder cannot read is refused by one rule,
 `check_labels`, before anything steps over it: `status_table` and
 `status_eval` call it on the labels they read, and the optimizers' search
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence, Union
 
 from .environment import Trajectory
@@ -142,7 +150,8 @@ class StatusFunction:
     """The stakeholders, and facts about them fixed at construction: does
     any discount (gamma < 1) or average; the (stakeholder number, alphabet
     atoms) of each machine stakeholder; and `start`, the status state of
-    the empty prefix."""
+    the empty prefix.  `step`, the status step, is built on first use,
+    since building it at construction would cost every load."""
 
     stakeholders: tuple[StakeholderStatus, ...]
     discounts: bool = field(init=False, repr=False, compare=False)
@@ -167,6 +176,34 @@ class StatusFunction:
     @property
     def n(self) -> int:
         return len(self.stakeholders)
+
+    @cached_property
+    def step(self):
+        """The status step, `step(state, s, a, s2, label)`, as one generated
+        function with a line per stakeholder (see _step_text), built on
+        first use."""
+        kinds, constants = [], []
+        for sk in self.stakeholders:
+            src = sk.source
+            if isinstance(src, AtomCountSource):
+                kinds.append("count")
+                constants.append(src.atom)
+            elif isinstance(src, MachineSource):
+                kinds.append("machine")
+                constants.append(src.machine)
+            elif isinstance(src, MarkovTableSource):
+                kinds.append("markov")
+                constants += [src.rewards.get, src.default]
+            else:
+                raise TypeError(f"not a status source: {src!r}")
+        if self.discounts:
+            constants += [sk.gamma for sk in self.stakeholders]
+        factory = _step_factory(_step_text(tuple(kinds), self.discounts),
+                                f"<status step: {', '.join(kinds)}>")
+        return factory(*constants)
+
+    def __getstate__(self):  # a closure does not pickle; it is rebuilt on use
+        return {k: v for k, v in self.__dict__.items() if k != "step"}
 
 
 def _step_reward_stream(source: StatusSource, traj: Trajectory) -> list:
@@ -203,31 +240,76 @@ def step_state(status: StatusFunction, state: tuple, s: str, a: str, s2: str, la
     """The status state one transition (s, a, s2) with `label` later; the
     fold of it from `status.start` is the status state of a prefix.
 
-    Mirrors _accumulate step for step: the same additions in the same
-    order, so vectors read off the state match the scratch route exactly.
-    A zero reward keeps the total's float object, which is the same value:
-    a total starts at +0.0, so it is never -0.0, and total + ±0.0 == total.
     Every machine stakeholder must be able to read `label`: the callers
     refuse one it cannot (check_labels) before they step.
     """
-    t, totals, weights, machine_states = state
-    new_totals, new_machine_states = [], []
-    for sk, total, weight, mstate in zip(status.stakeholders, totals, weights, machine_states):
-        src = sk.source
-        if isinstance(src, AtomCountSource):
-            r = 1.0 if src.atom in label else 0.0
-        elif isinstance(src, MachineSource):
-            mstate, r = step_machine(src.machine, mstate, label)
+    return status.step(state, s, a, s2, label)
+
+
+def _tuple(items) -> str:
+    """The source of a tuple display of the expressions `items`."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _step_text(kinds: tuple, discounts: bool) -> str:
+    """The source of the factory of a status step over stakeholders of
+    source `kinds` ('count', 'machine' or 'markov'); it takes each
+    stakeholder's constants in order (an atom, a machine, or a table's
+    `rewards.get` and default), then each gamma if the status discounts.
+
+    The step mirrors _accumulate step for step: the same additions in the
+    same order, so vectors read off the state match the scratch route
+    exactly.  A zero reward keeps the total's float object, which is the
+    same value: a total starts at +0.0, so it is never -0.0, and
+    total + ±0.0 == total.  A count's reward is 1.0, so its new total is
+    total + weight.  Parts no stakeholder can change stay the same tuple,
+    so the states that memory_q keeps as Q-table keys share them.
+    """
+    params, rewards, totals = [], [], []
+    for i, kind in enumerate(kinds):
+        if kind == "count":
+            params.append(f"atom_{i}")
+            totals.append(f"total_{i} + weight_{i} if atom_{i} in label else total_{i}")
+            continue
+        if kind == "machine":
+            params.append(f"machine_{i}")
+            rewards.append(f"m_{i}, r_{i} = step_machine(machine_{i}, m_{i}, label)")
         else:
-            r = src.rewards.get((s, a, s2), src.default)
-        new_totals.append(total + weight * r if r else total)
-        new_machine_states.append(mstate)
-    # Parts no stakeholder can change stay the same tuple, so the states
-    # that memory_q keeps as Q-table keys share them.
-    if status.discounts:
-        weights = tuple([weight * sk.gamma for sk, weight in zip(status.stakeholders, weights)])
-    return (t + 1, tuple(new_totals), weights,
-            tuple(new_machine_states) if status.machines else machine_states)
+            params += [f"get_{i}", f"default_{i}"]
+            rewards.append(f"r_{i} = get_{i}((s, a, s2), default_{i})")
+        totals.append(f"total_{i} + weight_{i} * r_{i} if r_{i} else total_{i}")
+    each = range(len(kinds))
+    lines = [f"t, {_tuple([f'total_{i}' for i in each])}, weights, machine_states = state",
+             f"{_tuple([f'weight_{i}' for i in each])} = weights"]
+    weights, machine_states = "weights", "machine_states"
+    if discounts:
+        params += [f"gamma_{i}" for i in each]
+        weights = _tuple([f"weight_{i} * gamma_{i}" for i in each])
+    if "machine" in kinds:
+        lines.append(_tuple([f"m_{i}" if kind == "machine" else "_"
+                             for i, kind in enumerate(kinds)]) + " = machine_states")
+        machine_states = _tuple([f"m_{i}" if kind == "machine" else "None"
+                                 for i, kind in enumerate(kinds)])
+    body = "".join(f"        {line}\n" for line in lines + rewards)
+    new_totals = "".join(f"            {total},\n" for total in totals)
+    return (f"def factory({', '.join(params)}):\n"
+            f"    def step(state, s, a, s2, label):\n"
+            f"{body}"
+            f"        return (t + 1, (\n"
+            f"{new_totals}"
+            f"        ), {weights}, {machine_states})\n"
+            f"    return step\n")
+
+
+@lru_cache(maxsize=256)
+def _step_factory(text: str, filename: str):
+    """The factory `text` defines, compiled once per text, as `re` caches
+    its patterns: the text depends only on the status's shape.  It runs in
+    this module's globals, so a step looks up `step_machine` at call
+    time."""
+    namespace: dict = {}
+    exec(compile(text, filename, "exec"), globals(), namespace)
+    return namespace["factory"]
 
 
 def state_vector(status: StatusFunction, state: tuple) -> tuple:

@@ -130,13 +130,27 @@ def format_real(x: float) -> str:
     return repr(x)
 
 
+_SHLEX_SPECIAL = frozenset("'\"\\#")
+
+
+def _split_line(raw: str) -> list:
+    """The tokens of `raw`, one line of a file, as
+    `shlex.split(raw, comments=True)` gives them.  A line with no quote,
+    backslash or `#` is split at spaces and tabs alone, the only shlex
+    separators a line can hold: not by `str.split()`, which also splits at
+    characters such as \\xa0 that shlex keeps inside a token."""
+    if _SHLEX_SPECIAL.isdisjoint(raw):
+        return [token for token in raw.replace("\t", " ").split(" ") if token]
+    return shlex.split(raw, comments=True)
+
+
 def _logical_lines(text: str, path: str = None) -> list:
     """[(line number, tokens)] with comments, blank lines and an optional
     `version 1` header dropped; any other version is rejected."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            tokens = shlex.split(raw, comments=True)
+            tokens = _split_line(raw)
         except ValueError as err:
             raise FormatError(str(err), line=lineno, path=path)
         if tokens:

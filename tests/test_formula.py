@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,6 +107,8 @@ DEEP = {
 def test_a_guard_nests_up_to_the_bound(shape):
     f = parse(shape(MAX_GUARD_DEPTH))
     assert parse(print_formula(f)) == f
+    for val in all_valuations(ALPHA):
+        assert eval_formula(f, val) is truth(f, val)
     with pytest.raises(FormulaSyntaxError, match=f"^nested deeper than {MAX_GUARD_DEPTH} levels"):
         parse(shape(MAX_GUARD_DEPTH + 1))
 
@@ -155,6 +159,42 @@ def test_printed_form_evaluates_the_same(f, val):
 @given(formulas, valuations)
 def test_eval_ignores_atoms_outside_the_formula(f, val):
     assert eval_formula(f, val) == eval_formula(f, val & formula_atoms(f))
+
+
+def truth(f, valuation) -> bool:
+    """The textbook semantics, by recursion over the tree: the judge of
+    the compiled tests eval_formula runs."""
+    if isinstance(f, Atom):
+        return f.name in valuation
+    if isinstance(f, Not):
+        return not truth(f.operand, valuation)
+    if isinstance(f, And):
+        return truth(f.left, valuation) and truth(f.right, valuation)
+    if isinstance(f, Or):
+        return truth(f.left, valuation) or truth(f.right, valuation)
+    return f == TRUE
+
+
+@given(formulas, valuations, st.booleans())
+def test_eval_is_the_textbook_semantics(f, val, as_set):
+    valuation = set(val) if as_set else val
+    assert eval_formula(f, valuation) is truth(f, val)
+    assert eval_formula(f, valuation) is truth(f, val)  # from the cached test
+
+
+@given(formulas, valuations)
+def test_an_evaluated_formula_pickles_and_evaluates_alike(f, val):
+    expected = eval_formula(f, val)
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f
+    assert eval_formula(copy, val) is expected
+
+
+@pytest.mark.parametrize("f", [None, "pasta", Not("pasta"), And(Atom("pasta"), 1)],
+                         ids=["none", "string", "under-not", "under-and"])
+def test_a_non_formula_is_a_type_error(f):
+    with pytest.raises(TypeError, match="^not a formula: "):
+        eval_formula(f, frozenset({"pasta"}))
 
 
 @given(formulas)

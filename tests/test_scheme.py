@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from temporal_pluralism.environment import RestaurantConfig, RestaurantEnv, Trajectory, replay
 from temporal_pluralism.errors import FieldError, PluralismError
 from temporal_pluralism.formula import parse_formula
+from temporal_pluralism import scheme as scheme_module
 from temporal_pluralism.machine import RewardMachine, Transition
 from temporal_pluralism.scheme import (
     AGGREGATION_MODES,
@@ -36,6 +38,7 @@ from temporal_pluralism.scheme import (
     status_eval,
     status_table,
     step_state,
+    _step_text,
 )
 
 ALPHA = ("pasta", "cake")
@@ -145,6 +148,68 @@ class TestStatusFunction:
         state = step_state(status, start, "s0", "go", "s1", frozenset({"pasta"}))
         assert state[:2] == (1, (1.0, 0.0))
         assert state[2] is start[2] and state[3] is start[3]
+
+
+STEP_TEXT = """\
+def factory(atom_0, machine_1, get_2, default_2, gamma_0, gamma_1, gamma_2):
+    def step(state, s, a, s2, label):
+        t, (total_0, total_1, total_2), weights, machine_states = state
+        (weight_0, weight_1, weight_2) = weights
+        (_, m_1, _) = machine_states
+        m_1, r_1 = step_machine(machine_1, m_1, label)
+        r_2 = get_2((s, a, s2), default_2)
+        return (t + 1, (
+            total_0 + weight_0 if atom_0 in label else total_0,
+            total_1 + weight_1 * r_1 if r_1 else total_1,
+            total_2 + weight_2 * r_2 if r_2 else total_2,
+        ), (weight_0 * gamma_0, weight_1 * gamma_1, weight_2 * gamma_2), (None, m_1, None))
+    return step
+"""
+
+
+class TestStepKernel:
+    def status(self, atom="pasta", gamma=0.5):
+        return StatusFunction((
+            StakeholderStatus(AtomCountSource(atom)),
+            StakeholderStatus(MachineSource(dinner_machine())),
+            StakeholderStatus(MarkovTableSource({("s0", "go", "s1"): 2.0}), "discounted", gamma),
+        ))
+
+    def test_the_generated_source_is_pinned(self):
+        assert _step_text(("count", "machine", "markov"), True) == STEP_TEXT
+
+    def test_the_code_names_the_kernel(self):
+        code = self.status().step.__code__
+        assert code.co_filename == "<status step: count, machine, markov>"
+        assert code.co_name == "step"
+
+    def test_one_shape_shares_one_factory_and_keeps_its_own_constants(self):
+        first, second = self.status(), self.status(atom="cake", gamma=0.25)
+        assert first.step is first.step  # built once
+        assert first.step is not second.step
+        assert first.step.__code__ is second.step.__code__
+        state = second.step(second.start, "s0", "go", "s1", frozenset({"cake"}))
+        assert state == (1, (1.0, 0.0, 2.0), (1.0, 1.0, 0.25), (None, "u2", None))
+        state = first.step(first.start, "s0", "go", "s1", frozenset({"cake"}))
+        assert state == (1, (0.0, 0.0, 2.0), (1.0, 1.0, 0.5), (None, "u2", None))
+
+    def test_a_used_status_function_pickles_and_steps_alike(self):
+        status = self.status()
+        label = frozenset({"pasta"})
+        state = status.step(status.start, "s0", "go", "s1", label)
+        copy = pickle.loads(pickle.dumps(status))
+        assert copy == status
+        assert copy.step(copy.start, "s0", "go", "s1", label) == state
+
+    def test_a_machine_step_is_looked_up_when_the_kernel_runs(self, monkeypatch):
+        status = self.status()
+        status.step(status.start, "s0", "go", "s1", frozenset())
+        calls = []
+        monkeypatch.setattr(scheme_module, "step_machine",
+                            lambda *args: calls.append(args) or ("u1", 0.0))
+        state = status.step(status.start, "s0", "go", "s1", frozenset())
+        assert calls == [(status.stakeholders[1].source.machine, "u0", frozenset())]
+        assert state[3] == (None, "u1", None)
 
 
 class TestStatusEval:
@@ -500,9 +565,14 @@ class TestAlphabetCompatibility:
 # the incremental and scratch scoring routes must agree bit for bit
 
 source_kinds = st.sampled_from(("count_pasta", "count_cake", "dinner", "tick", "markov"))
+# A gamma of 1e-200 underflows the weights to 0 by step 3.
 accumulations = st.sampled_from(
-    [("sum", 1.0), ("mean", 1.0), ("discounted", 0.5), ("discounted", 0.75)]
+    [("sum", 1.0), ("mean", 1.0), ("discounted", 0.5), ("discounted", 0.75),
+     ("discounted", 1e-200)]
 )
+# Negative, signed-zero and near-maximal rewards: two of ±1e308 overflow a
+# total to ±inf.
+markov_rewards = st.sampled_from([0.25, 1.75, -0.5, -0.0, 0.0, 1e308, -1e308])
 
 
 @st.composite
@@ -519,7 +589,9 @@ def stakeholder_statuses(draw):
         source = MachineSource(tick_machine(ALPHA))
     else:
         source = MarkovTableSource(
-            rewards={("s0", "go", "s1"): 0.25, ("s2", "go", "s3"): 1.75}, default=0.5
+            rewards={("s0", "go", "s1"): draw(markov_rewards),
+                     ("s2", "go", "s3"): draw(markov_rewards)},
+            default=draw(markov_rewards),
         )
     return StakeholderStatus(source, acc, gamma)
 
@@ -545,23 +617,27 @@ filters = st.one_of(
     st.builds(EventCountFilter, st.sampled_from(ALPHA), st.integers(1, 2)),
 )
 
-schemes = st.builds(
-    Scheme,
-    status=st.lists(stakeholder_statuses(), min_size=1, max_size=3).map(
-        lambda sts: StatusFunction(tuple(sts))
-    ),
-    aggregation=aggregations,
-    filter=filters,
+statuses = st.lists(stakeholder_statuses(), min_size=1, max_size=6).map(
+    lambda sts: StatusFunction(tuple(sts))
 )
 
+schemes = st.builds(Scheme, status=statuses, aggregation=aggregations, filter=filters)
+
+# Step 1 reads a Markov table's first key, step 3 its second, every other
+# step its default.
 trajectories = st.lists(st.frozensets(st.sampled_from(ALPHA)), min_size=1, max_size=8).map(
     traj_from_labels
 )
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(schemes, trajectories)
 def test_incremental_equals_scratch_bit_for_bit(scheme, traj):
+    status = scheme.status
+    table = status_table(Scheme(status, scheme.aggregation, AnytimeFilter()), traj)
+    for t, vec in table:
+        # by repr, so a -0.0 against a 0.0 (or a nan) is a difference
+        assert list(map(repr, vec)) == list(map(repr, status_eval(status, traj.prefix(t))))
     try:
         fast = pluralism_score(scheme, traj)
     except EmptyFilterError:
@@ -569,7 +645,7 @@ def test_incremental_equals_scratch_bit_for_bit(scheme, traj):
             pluralism_score_reference(scheme, traj)
         return
     slow = pluralism_score_reference(scheme, traj)
-    assert fast == slow  # no tolerance: the routes share their arithmetic
+    assert repr(fast) == repr(slow)  # no tolerance: the routes share their arithmetic
 
 
 @given(schemes, trajectories)

@@ -1,8 +1,9 @@
+import shlex
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temporal_pluralism.environment import (
@@ -31,6 +32,7 @@ from temporal_pluralism.scheme import (
 from temporal_pluralism.serialize import (
     FormatError,
     SchemaVersionError,
+    _split_line,
     env_to_text,
     format_real,
     load_env,
@@ -523,6 +525,20 @@ def test_a_label_atom_that_is_not_a_name_cannot_be_written(atom):
     traj = Trajectory(("s0", "s1"), ("go",), (frozenset({atom}),))
     with pytest.raises(ValueError, match=f"invalid proposition name '{atom}'"):
         trajectory_to_text(traj)
+
+
+# Lines the reader splits without shlex: no quote, backslash, `#` or line
+# break, with separators str.split() would use but shlex keeps drawn often.
+plain_lines = st.text(st.one_of(
+    st.sampled_from(" \t\xa0\u2003\x1fab"),
+    st.characters(blacklist_characters="'\"\\#", blacklist_categories=("Cs",)),
+)).filter(lambda raw: raw.splitlines() in ([], [raw]))
+
+
+@settings(max_examples=500)
+@given(plain_lines)
+def test_a_plain_line_splits_as_shlex_splits_it(raw):
+    assert _split_line(raw) == shlex.split(raw, comments=True)
 
 
 def test_a_machine_with_an_empty_alphabet_writes_a_bare_keyword():
