@@ -97,8 +97,11 @@ VALID_MACHINE = "deterministic, total"
 
 @dataclass(frozen=True)
 class MachineValidation:
-    ok: bool
     problems: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
     def describe(self) -> str:
         if self.ok:
@@ -120,7 +123,7 @@ class RewardMachine:
     initial: str
     alphabet: tuple[str, ...]
     transitions: tuple[Transition, ...]
-    _by_source: dict = field(default=None, repr=False, compare=False)
+    _by_source: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -171,7 +174,7 @@ def validate_machine(machine: RewardMachine) -> MachineValidation:
                 problems.append(NondeterministicGuards(state, valuation, tuple(enabled)))
             elif not enabled:
                 problems.append(NotTotal(state, valuation))
-    return MachineValidation(ok=not problems, problems=tuple(problems))
+    return MachineValidation(tuple(problems))
 
 
 def require_valid(machine: RewardMachine, path: str = None) -> RewardMachine:

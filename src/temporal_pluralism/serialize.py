@@ -496,11 +496,14 @@ def scheme_to_text(scheme: Scheme) -> str:
     return _text(lines)
 
 
+# every scheme keyword -> its usage; the op and filter-parameter keywords
+# come from the tables that own them
 _SCHEME_ARITY = {
     "n": "K", "source": "I KIND ARG", "accumulation": "I KIND", "gamma": "I G",
-    "aggregation.mode": "MODE", "aggregation.op": "OP", "aggregation.inner_op": "OP",
-    "aggregation.outer_op": "OP", "filter.kind": "KIND", "filter.p": "P",
-    "filter.atom": "ATOM", "filter.k": "K", "empty_filter": "POLICY",
+    "aggregation.mode": "MODE", "filter.kind": "KIND", "empty_filter": "POLICY",
+    **{f"aggregation.{op}": "OP" for ops in AGGREGATION_MODES.values() for op in ops},
+    **{key: key.removeprefix("filter.").upper()
+       for _, params, _ in _FILTERS.values() for key, _, _ in params},
 }
 
 

@@ -6,6 +6,7 @@ from temporal_pluralism.environment import Trajectory
 from temporal_pluralism.formula import parse_formula
 from temporal_pluralism.machine import (
     InvalidStateError,
+    MachineValidation,
     MachineValidationError,
     NoEnabledTransitionError,
     NondeterministicGuards,
@@ -124,6 +125,13 @@ class TestValidation:
             require_valid(m)
         assert not exc.value.report.ok
 
+    def test_ok_is_read_from_the_problems(self):
+        """A report cannot say ok while it lists a problem."""
+        assert MachineValidation(()).ok
+        assert not MachineValidation((NotTotal("q", frozenset()),)).ok
+        with pytest.raises(TypeError):
+            MachineValidation(ok=True, problems=(NotTotal("q", frozenset()),))
+
 
 class TestConstruction:
     def test_unknown_target_state(self):
@@ -147,6 +155,10 @@ class TestConstruction:
     def test_initial_must_be_a_state(self):
         with pytest.raises(ValueError, match="initial"):
             RewardMachine(states=("q",), initial="r", alphabet=ALPHA, transitions=())
+
+    def test_by_source_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            RewardMachine(("q",), "q", ALPHA, (), {"bogus": 1})
 
     def test_duplicate_states(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,7 +1,6 @@
 """The scripts run end to end: the experiments also where a scheme cannot
-score, and the fixture regenerator reproduces fixtures/ byte for byte."""
+score, and the line counter counts only code."""
 
-import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +8,6 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-FIXTURES = SCRIPTS.parent / "fixtures"
 ROUND = "no route completes a round"
 
 
@@ -32,18 +30,6 @@ def test_experiment_script_exits_cleanly(command, unscorable, scores):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert (unscorable in done.stdout) != scores
-
-
-def test_regen_fixtures_reproduces_the_fixtures(tmp_path):
-    spec = importlib.util.spec_from_file_location("regen_fixtures", SCRIPTS / "regen_fixtures.py")
-    regen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(regen)
-    regen.FIXTURES = tmp_path
-    regen.main()
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == sorted(p.name for p in FIXTURES.iterdir())
-    for name in written:
-        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 SNIPPET = '''"""A module docstring

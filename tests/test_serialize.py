@@ -57,16 +57,6 @@ from temporal_pluralism.serialize import (
 )
 from test_scheme import accumulations, aggregations, filters
 
-FIXTURE_SUFFIXES = ("*.rm", "*.env", "*.scheme", "*.traj", "*.mt")
-
-
-def all_fixture_paths(fixtures_dir):
-    out = []
-    for pattern in FIXTURE_SUFFIXES:
-        out.extend(sorted(fixtures_dir.glob(pattern)))
-    return out
-
-
 def reserialize(path):
     text = path.read_text()
     suffix = path.suffix
@@ -80,11 +70,13 @@ def reserialize(path):
         return trajectory_to_text(parse_trajectory_text(text, str(path)))
     if suffix == ".mt":
         return markov_table_to_text(parse_markov_table_text(text, str(path)))
-    raise AssertionError(suffix)
+    raise AssertionError(f"{path.name}: no reader for the suffix {suffix!r}")
 
 
 def test_every_bundled_fixture_round_trips_byte_for_byte(fixtures_dir):
-    paths = all_fixture_paths(fixtures_dir)
+    """Every file under fixtures/ is exactly what the canonical writer
+    makes of it, so `save_X(load_X(path), path)` leaves it unchanged."""
+    paths = sorted(fixtures_dir.iterdir())
     assert len(paths) >= 15  # the bundle should not quietly shrink
     for path in paths:
         assert reserialize(path) == path.read_text(), path.name
@@ -365,6 +357,7 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         (parse_env_text, RESTAURANT + "types a b\n", 5),
         (parse_env_text, DELIVERY + "grid 3 1\n", 5),
         (parse_markov_table_text, "default 0\nreward s a t 1\ndefault 1\n", 3),
+        (parse_markov_table_text, "reward s a t 1\nreward s a t 2\n", 2),
         (parse_scheme_text, TWO + "accumulation 1 discounted\ngamma 1 1.5\n", 7),
         (parse_scheme_text, TWO + "accumulation 1 bogus\n", 6),
         (parse_scheme_text, ONE + "filter.kind periodic\nfilter.p 0\n", 5),
@@ -401,6 +394,7 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         "accumulation-twice", "non-integer-period", "period-under-long-term",
         "op-beside-nested-mode", "atom-under-periodic", "prefers-twice",
         "n_friends-twice", "types-twice", "grid-twice", "default-twice",
+        "duplicate-markov-entry",
         "gamma-above-one", "unknown-accumulation", "zero-period", "zero-event-count",
         "unknown-op", "unknown-empty-filter", "type-not-offered", "recipient-off-grid",
         "unknown-mode", "unknown-inner-op", "unknown-outer-op", "duplicate-types",
@@ -417,6 +411,20 @@ def test_reader_rejects_the_line(parse, text, line):
     refuses; the error names the file and the line."""
     with pytest.raises(FormatError, match=rf"^in\.txt:{line}: "):
         parse(text, "in.txt")
+
+
+@pytest.mark.parametrize("line, usage", [
+    ("filter.p 2 3", "filter.p P"),
+    ("filter.atom a b", "filter.atom ATOM"),
+    ("filter.k", "filter.k K"),
+    ("aggregation.op product sum", "aggregation.op OP"),
+    ("aggregation.inner_op", "aggregation.inner_op OP"),
+    ("aggregation.outer_op min sum", "aggregation.outer_op OP"),
+])
+def test_a_wrong_argument_count_names_the_usage(line, usage):
+    with pytest.raises(FormatError) as exc:
+        parse_scheme_text(ONE + line + "\n", "in.txt")
+    assert str(exc.value) == f"in.txt:4: expected `{usage}`"
 
 
 class TestTrajectoryFormat:
