@@ -16,10 +16,13 @@ unknown atoms are an error, never implicitly created.
 
 A node compiles on its first evaluation to a one-argument test of a
 valuation, cached on the node, so a guard's tree is walked once, not on
-every evaluation.  An atom's test is `frozenset((name,)).issubset` and a
-negated atom's `.isdisjoint`, C calls with no Python frame; `&`, `|` and
-any other `!` are closures over their children's tests.  `eval_formula`
-is the one entry point to them.
+every evaluation.  A conjunction of literals (an And tree whose leaves
+are atoms, negated atoms or `true`, or one such leaf), the usual guard of
+a decision-tree machine, is tested by `frozenset(atoms).issubset` when no
+atom is negated and `frozenset(negated).isdisjoint` when every atom is (C
+calls with no Python frame), else by one closure of the two.  Any other
+`&`, `!` or `|`, and `false`, are closures over their children's tests.
+`eval_formula` is the one entry point to them.
 """
 
 from __future__ import annotations
@@ -215,7 +218,11 @@ def parse_formula(text: str, alphabet: Iterable[str]) -> PropFormula:
 
 def eval_formula(formula: PropFormula, valuation) -> bool:
     """Standard propositional semantics against a set of true atom names."""
-    return _test_of(formula)(valuation)
+    try:
+        test = formula._test
+    except AttributeError:
+        raise TypeError(f"not a formula: {formula!r}") from None
+    return test(valuation)
 
 
 def _test_of(formula):
@@ -226,13 +233,36 @@ def _test_of(formula):
         raise TypeError(f"not a formula: {formula!r}") from None
 
 
+def _literals(formula):
+    """(atoms that must hold, atoms that must not) of a conjunction of
+    literals: an And tree whose leaves are all Atom, Not(Atom) or TRUE, or
+    one such leaf.  None for any other formula."""
+    holds, fails, todo = set(), set(), [formula]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, And):
+            todo += (node.left, node.right)
+        elif isinstance(node, Atom):
+            holds.add(node.name)
+        elif isinstance(node, Not) and isinstance(node.operand, Atom):
+            fails.add(node.operand.name)
+        elif not isinstance(node, ConstTrue):
+            return None
+    return frozenset(holds), frozenset(fails)
+
+
 def _compile(formula: PropFormula):
     """The one-argument test of a valuation that `formula` is."""
-    if isinstance(formula, Atom):
-        return frozenset((formula.name,)).issubset
+    literals = _literals(formula)
+    if literals is not None:
+        holds, fails = literals
+        if not fails:
+            return holds.issubset
+        if not holds:
+            return fails.isdisjoint
+        all_hold, none_holds = holds.issubset, fails.isdisjoint
+        return lambda valuation: all_hold(valuation) and none_holds(valuation)
     if isinstance(formula, Not):
-        if isinstance(formula.operand, Atom):
-            return frozenset((formula.operand.name,)).isdisjoint
         operand = _test_of(formula.operand)
         return lambda valuation: not operand(valuation)
     if isinstance(formula, And):
@@ -241,8 +271,6 @@ def _compile(formula: PropFormula):
     if isinstance(formula, Or):
         left, right = _test_of(formula.left), _test_of(formula.right)
         return lambda valuation: left(valuation) or right(valuation)
-    if isinstance(formula, ConstTrue):
-        return lambda valuation: True
     if isinstance(formula, ConstFalse):
         return lambda valuation: False
     raise TypeError(f"not a formula: {formula!r}")

@@ -17,7 +17,10 @@ Python 3.11.7); see docs/formats.md.
 A step tries the state's outgoing guards in declaration order, one
 `eval_formula` call each; a guard is compiled to a test on its first
 evaluation (see formula), so neither a step nor validation walks a guard's
-tree again.
+tree again.  A guard that is a conjunction of literals, as each leaf of a
+decision tree over the atoms is, is tested by one `issubset` or
+`isdisjoint` call on the valuation, or by a closure of the two when it
+both requires and negates atoms.
 """
 
 from __future__ import annotations

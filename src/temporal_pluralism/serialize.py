@@ -24,6 +24,7 @@ The full grammar of each format lives in docs/formats.md.
 from __future__ import annotations
 
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -106,7 +107,7 @@ def _token(token) -> str:
         raise ValueError(f"a token with a line break cannot be written: {token!r}")
     # A quote or a backslash never reads back as itself (and alone, it
     # does not read at all), so only a token without them can stay bare.
-    if not any(c in token for c in "'\"\\") and shlex.split(token, comments=True) == [token]:
+    if not any(c in token for c in "'\"\\") and _split_line(token) == [token]:
         return token
     return shlex.quote(token)
 
@@ -132,16 +133,47 @@ def format_real(x: float) -> str:
 
 _SHLEX_SPECIAL = frozenset("'\"\\#")
 
+# One piece of a word: an unquoted run, `\` and the character it escapes,
+# a double-quoted run (where `\"` and `\\` are escapes and any other `\x`
+# keeps its backslash), or a single-quoted run.
+_PIECE = r"""[^ \t'"\\#]+|\\.|"[^"\\]*(?:\\.[^"\\]*)*"|'[^']*'"""
+_PIECES = re.compile(_PIECE, re.DOTALL)
+_DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
+# A word is pieces with no gap between them, and `#` outside quotes ends
+# the word and the line.  Scanned from the start of a line, each match is
+# a word, an empty string (at a comment or the end), or a quote or
+# backslash that opens no piece: an unclosed quote, or a final `\`.
+_WORDS = re.compile(rf"""[ \t]*((?:{_PIECE})+|["'\\]|)(?:#.*)?""", re.DOTALL)
+_UNCLOSED = frozenset(("'", '"', "\\"))
+
+
+def _unquote(piece) -> str:
+    """The text a _PIECES match stands for."""
+    text = piece[0]
+    if text[0] == "\\":
+        return text[1]
+    if text[0] == "'":
+        return text[1:-1]
+    if text[0] == '"':
+        return _DOUBLE_QUOTED_ESCAPE.sub(r"\1", text[1:-1])
+    return text
+
 
 def _split_line(raw: str) -> list:
     """The tokens of `raw`, one line of a file, as
     `shlex.split(raw, comments=True)` gives them.  A line with no quote,
     backslash or `#` is split at spaces and tabs alone, the only shlex
     separators a line can hold: not by `str.split()`, which also splits at
-    characters such as \\xa0 that shlex keeps inside a token."""
+    characters such as \\xa0 that shlex keeps inside a token.  Any other
+    line is split into _WORDS, and a word with a quote or a backslash is
+    unquoted piece by piece."""
     if _SHLEX_SPECIAL.isdisjoint(raw):
         return [token for token in raw.replace("\t", " ").split(" ") if token]
-    return shlex.split(raw, comments=True)
+    words = _WORDS.findall(raw)
+    if not _UNCLOSED.isdisjoint(words):
+        return shlex.split(raw, comments=True)  # raises the error that names it
+    return [word if _SHLEX_SPECIAL.isdisjoint(word) else _PIECES.sub(_unquote, word)
+            for word in words if word]
 
 
 def _logical_lines(text: str, path: str = None) -> list:
@@ -227,9 +259,18 @@ def _at(line, path: str, make, *args, **kwargs):
         raise FormatError(str(err), line, path)
 
 
+def _plain_number(convert, token: str):
+    """convert(token), float or int, refusing what they read in a number
+    but no number token holds: `_` between digits, non-ASCII digits, and
+    whitespace around the number."""
+    if not token.isascii() or "_" in token or token != token.strip():
+        raise ValueError(token)
+    return convert(token)
+
+
 def _parse_real(token: str, lineno: int, path: str) -> float:
     try:
-        value = float(token)
+        value = _plain_number(float, token)
     except ValueError:
         raise FormatError(f"not a number: '{token}'", lineno, path)
     if not math.isfinite(value):
@@ -239,7 +280,7 @@ def _parse_real(token: str, lineno: int, path: str) -> float:
 
 def _parse_int(token: str, lineno: int, path: str) -> int:
     try:
-        return int(token)
+        return _plain_number(int, token)
     except ValueError:
         raise FormatError(f"not an integer: '{token}'", lineno, path)
 

@@ -145,6 +145,16 @@ formulas = st.deferred(
 
 valuations = st.frozensets(st.sampled_from(ALPHA))
 
+# And trees over literals, the guards tested by set calls: with three
+# atoms, repeated atoms and `a & !a` are common.  The second kind mixes in
+# leaves that keep a tree off that route, `false` and `!!a`.
+literals = st.sampled_from([TRUE, *(Atom(a) for a in ALPHA), *(Not(Atom(a)) for a in ALPHA)])
+off_route = st.sampled_from([FALSE, *(Not(Not(Atom(a))) for a in ALPHA)])
+conjunctions = st.one_of(
+    st.recursive(literals, lambda tree: st.builds(And, tree, tree)),
+    st.recursive(st.one_of(literals, off_route), lambda tree: st.builds(And, tree, tree)),
+)
+
 
 @given(formulas)
 def test_print_then_parse_is_identity(f):
@@ -175,14 +185,14 @@ def truth(f, valuation) -> bool:
     return f == TRUE
 
 
-@given(formulas, valuations, st.booleans())
+@given(st.one_of(formulas, conjunctions), valuations, st.booleans())
 def test_eval_is_the_textbook_semantics(f, val, as_set):
     valuation = set(val) if as_set else val
     assert eval_formula(f, valuation) is truth(f, val)
     assert eval_formula(f, valuation) is truth(f, val)  # from the cached test
 
 
-@given(formulas, valuations)
+@given(st.one_of(formulas, conjunctions), valuations)
 def test_an_evaluated_formula_pickles_and_evaluates_alike(f, val):
     expected = eval_formula(f, val)
     copy = pickle.loads(pickle.dumps(f))

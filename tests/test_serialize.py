@@ -1,6 +1,9 @@
+import functools
+import itertools
 import shlex
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from temporal_pluralism.environment import (
     Trajectory,
     replay,
 )
-from temporal_pluralism.formula import ConstTrue
+from temporal_pluralism.formula import And, Atom, ConstTrue, Not
 from temporal_pluralism.machine import MachineValidationError, RewardMachine, Transition
 from temporal_pluralism.optimize import optimize_exhaustive
 from temporal_pluralism.scheme import (
@@ -388,6 +391,9 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         (parse_machine_text, "alphabet a\nstate q init\nstate q0 bogus\n", 3),
         (parse_scheme_text, ONE.replace("aggregation.op product", "aggregation.mode bogus")
          + "aggregation.inner_op min\naggregation.inner_op min\nfilter.kind long_term\n", 3),
+        (parse_machine_text, 'alphabet a\nstate q init\ntrans q "true" q 1_0\n', 3),
+        (parse_markov_table_text, "default 0\nreward s a t ' 2'\n", 2),
+        (parse_env_text, RESTAURANT.replace("n_friends 1", "n_friends \u0663"), 2),
     ],
     ids=[
         "gamma-on-sum", "discounted-without-gamma", "index-out-of-range",
@@ -403,7 +409,8 @@ DELIVERY = "env delivery_grid\ngrid 3 1\nstart 0 0\nrecipient 2 0\n"
         "empty-label-atom", "label-atom-not-a-name", "label-atom-twice",
         "counted-atom-not-a-name", "filter-atom-not-a-name", "no-stakeholders",
         "unbalanced-quote", "version-with-two-arguments", "state-with-a-bad-flag",
-        "unknown-mode-before-a-repeated-op",
+        "unknown-mode-before-a-repeated-op", "reward-with-underscore",
+        "markov-reward-with-space", "friends-in-arabic-digits",
     ],
 )
 def test_reader_rejects_the_line(parse, text, line):
@@ -547,6 +554,54 @@ plain_lines = st.text(st.one_of(
 @given(plain_lines)
 def test_a_plain_line_splits_as_shlex_splits_it(raw):
     assert _split_line(raw) == shlex.split(raw, comments=True)
+
+
+# Lines the reader splits by its own pattern: quotes, `#` and backslashes
+# between separators shlex does and does not split at.  Any character
+# not drawn here reads as `a` does.
+quoted_lines = st.text(st.sampled_from(" \t\xa0\u2003\x1f'\"#\\ab"))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("shlex.split was called")
+
+
+@settings(max_examples=1000)
+@given(quoted_lines)
+def test_a_quoted_line_splits_as_shlex_splits_it(raw):
+    """The same tokens as shlex, without calling it; or, on a line shlex
+    refuses, the same ValueError."""
+    try:
+        expected = shlex.split(raw, comments=True)
+    except ValueError as err:
+        with pytest.raises(ValueError) as exc:
+            _split_line(raw)
+        assert str(exc.value) == str(err)
+    else:
+        with mock.patch.object(shlex, "split", _refuse):
+            assert _split_line(raw) == expected
+
+
+def _decision_tree_machine() -> RewardMachine:
+    """Two states, each branching on every atom in turn: each guard is a
+    conjunction of literals, written `((a & !b) & c)` and quoted."""
+    atoms = ("a", "b", "c")
+    transitions = []
+    for state in ("q0", "q1"):
+        for signs in itertools.product((True, False), repeat=len(atoms)):
+            literals = [Atom(x) if positive else Not(Atom(x)) for x, positive in zip(atoms, signs)]
+            guard = functools.reduce(And, literals)
+            transitions.append(Transition(state, guard, "q1" if signs[0] else "q0", sum(signs)))
+    return RewardMachine(("q0", "q1"), "q0", atoms, tuple(transitions))
+
+
+def test_files_the_writer_writes_are_read_without_shlex(fixtures_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(shlex, "split", _refuse)
+    for path in sorted(fixtures_dir.iterdir()):
+        assert reserialize(path) == path.read_text(), path.name
+    machine = _decision_tree_machine()
+    save_machine(machine, tmp_path / "tree.rm")
+    assert load_machine(tmp_path / "tree.rm") == machine
 
 
 def test_a_machine_with_an_empty_alphabet_writes_a_bare_keyword():
