@@ -24,19 +24,25 @@ episodes from it.
 What is fixed per status function is decided once, not on every step.
 `step_state` runs `StatusFunction.step`, a function generated on first
 use with one line per stakeholder, so no step tests a source's type
-(the way `dataclasses` and `namedtuple` build their methods).  Its text
-holds only stakeholder indices and source kinds, and every constant is an
-argument, so status functions of one shape share one compiled factory.
+(the way `dataclasses` and `namedtuple` build their methods).  Its twin
+`StatusFunction.table` runs the same lines down a whole trajectory.  Their
+text holds only stakeholder indices, source kinds and which stakeholders
+average, and every constant is an argument, so status functions of one
+shape share one compiled factory.
 
 A label some machine stakeholder cannot read is refused by one rule,
 `check_labels`, before anything steps over it: `status_table` and
 `status_eval` call it on the labels they read, and the optimizers' search
-graph on each label it steps.  So `step_state` only steps.
+graph on each label it steps.  So the generated kernels only step.
 
-Scoring has two routes.  `pluralism_score` folds `step_state` down the
-trajectory; `pluralism_score_reference` recomputes every filtered prefix
-from scratch.  Both run the same accumulation arithmetic in the same
-order, so they agree bit for bit, and the test suite holds them to that.
+Scoring has two routes.  `pluralism_score` folds the status step down
+the trajectory in one call of `StatusFunction.table`, which keeps the
+state in locals and reads U off at each filtered time;
+`pluralism_score_reference` recomputes every filtered prefix from
+scratch.  Both run the same accumulation arithmetic in the same order, so
+they agree bit for bit, and the test suite holds them to that.  The
+optimizers, which step one edge at a time and key on the whole status
+state, fold `step_state` and score by `states_score`.
 """
 
 from __future__ import annotations
@@ -150,8 +156,9 @@ class StatusFunction:
     """The stakeholders, and facts about them fixed at construction: does
     any discount (gamma < 1) or average; the (stakeholder number, alphabet
     atoms) of each machine stakeholder; and `start`, the status state of
-    the empty prefix.  `step`, the status step, is built on first use,
-    since building it at construction would cost every load."""
+    the empty prefix.  `step`, the status step, and `table`, its fold down
+    a trajectory, are built on first use, since building them at
+    construction would cost every load."""
 
     stakeholders: tuple[StakeholderStatus, ...]
     discounts: bool = field(init=False, repr=False, compare=False)
@@ -178,10 +185,8 @@ class StatusFunction:
         return len(self.stakeholders)
 
     @cached_property
-    def step(self):
-        """The status step, `step(state, s, a, s2, label)`, as one generated
-        function with a line per stakeholder (see _step_text), built on
-        first use."""
+    def _kernel(self):
+        """(step, table), from one call of the factory _step_text defines."""
         kinds, constants = [], []
         for sk in self.stakeholders:
             src = sk.source
@@ -198,12 +203,28 @@ class StatusFunction:
                 raise TypeError(f"not a status source: {src!r}")
         if self.discounts:
             constants += [sk.gamma for sk in self.stakeholders]
-        factory = _step_factory(_step_text(tuple(kinds), self.discounts),
+        means = tuple([i for i, sk in enumerate(self.stakeholders) if sk.accumulation == "mean"])
+        factory = _step_factory(_step_text(tuple(kinds), self.discounts, means),
                                 f"<status step: {', '.join(kinds)}>")
         return factory(*constants)
 
-    def __getstate__(self):  # a closure does not pickle; it is rebuilt on use
-        return {k: v for k, v in self.__dict__.items() if k != "step"}
+    @cached_property
+    def step(self):
+        """The status step, `step(state, s, a, s2, label)`, as one generated
+        function with a line per stakeholder (see _step_text), built on
+        first use."""
+        return self._kernel[0]
+
+    @cached_property
+    def table(self):
+        """The status step folded in one generated call,
+        `table(state, states, actions, labels, times)`: the status vectors
+        at each of the increasing `times`, from `state` at time state[0]
+        (see _step_text)."""
+        return self._kernel[1]
+
+    def __getstate__(self):  # closures do not pickle; they are rebuilt on use
+        return {k: v for k, v in self.__dict__.items() if k not in ("_kernel", "step", "table")}
 
 
 def _step_reward_stream(source: StatusSource, traj: Trajectory) -> list:
@@ -251,13 +272,21 @@ def _tuple(items) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-def _step_text(kinds: tuple, discounts: bool) -> str:
-    """The source of the factory of a status step over stakeholders of
-    source `kinds` ('count', 'machine' or 'markov'); it takes each
-    stakeholder's constants in order (an atom, a machine, or a table's
-    `rewards.get` and default), then each gamma if the status discounts.
+def _step_text(kinds: tuple, discounts: bool, means: tuple) -> str:
+    """The source of the factory of a status kernel over stakeholders of
+    source `kinds` ('count', 'machine' or 'markov'), where the stakeholders
+    numbered (from 0) in `means` average; it takes each stakeholder's
+    constants in order (an atom, a machine, or a table's `rewards.get` and
+    default), then each gamma if the status discounts, and returns the
+    pair (step, table).
 
-    The step mirrors _accumulate step for step: the same additions in the
+    `step` advances a status state by one transition.  `table` runs the
+    same reward, total and weight lines over the steps up to each of
+    `times` in turn, keeping every part of the state in a local, and reads
+    U off at each time as state_vector does (t >= 1 there).  It zips in
+    the states and actions only when a Markov stakeholder reads them.
+
+    The lines mirror _accumulate step for step: the same additions in the
     same order, so vectors read off the state match the scratch route
     exactly.  A zero reward keeps the total's float object, which is the
     same value: a total starts at +0.0, so it is never -0.0, and
@@ -279,26 +308,46 @@ def _step_text(kinds: tuple, discounts: bool) -> str:
             rewards.append(f"r_{i} = get_{i}((s, a, s2), default_{i})")
         totals.append(f"total_{i} + weight_{i} * r_{i} if r_{i} else total_{i}")
     each = range(len(kinds))
-    lines = [f"t, {_tuple([f'total_{i}' for i in each])}, weights, machine_states = state",
-             f"{_tuple([f'weight_{i}' for i in each])} = weights"]
-    weights, machine_states = "weights", "machine_states"
+    unpack = [f"t, {_tuple([f'total_{i}' for i in each])}, weights, machine_states = state",
+              f"{_tuple([f'weight_{i}' for i in each])} = weights"]
+    weights, machine_states, new_weights = "weights", "machine_states", []
     if discounts:
         params += [f"gamma_{i}" for i in each]
-        weights = _tuple([f"weight_{i} * gamma_{i}" for i in each])
+        new_weights = [f"weight_{i} * gamma_{i}" for i in each]
+        weights = _tuple(new_weights)
     if "machine" in kinds:
-        lines.append(_tuple([f"m_{i}" if kind == "machine" else "_"
-                             for i, kind in enumerate(kinds)]) + " = machine_states")
+        unpack.append(_tuple([f"m_{i}" if kind == "machine" else "_"
+                              for i, kind in enumerate(kinds)]) + " = machine_states")
         machine_states = _tuple([f"m_{i}" if kind == "machine" else "None"
                                  for i, kind in enumerate(kinds)])
-    body = "".join(f"        {line}\n" for line in lines + rewards)
-    new_totals = "".join(f"            {total},\n" for total in totals)
+    fold = rewards + [f"total_{i} = {total}" for i, total in enumerate(totals)]
+    fold += [f"weight_{i} = {weight}" for i, weight in enumerate(new_weights)]
+    if "markov" in kinds:
+        loop = ("for s, a, s2, label in zip(states[t:stop], actions[t:stop], "
+                "states[t + 1:stop + 1], labels[t:stop]):")
+    else:
+        loop = "for label in labels[t:stop]:"
+    vector = _tuple([f"total_{i} / t" if i in means else f"total_{i}" for i in each])
+
+    def block(lines, depth):
+        return "".join(f"{' ' * depth}{line}\n" for line in lines)
+
     return (f"def factory({', '.join(params)}):\n"
             f"    def step(state, s, a, s2, label):\n"
-            f"{body}"
+            f"{block(unpack + rewards, 8)}"
             f"        return (t + 1, (\n"
-            f"{new_totals}"
+            f"{block([f'{total},' for total in totals], 12)}"
             f"        ), {weights}, {machine_states})\n"
-            f"    return step\n")
+            f"    def table(state, states, actions, labels, times):\n"
+            f"{block(unpack, 8)}"
+            f"        rows = []\n"
+            f"        for stop in times:\n"
+            f"            {loop}\n"
+            f"{block(fold, 16)}"
+            f"            t = stop\n"
+            f"            rows.append({vector})\n"
+            f"        return rows\n"
+            f"    return step, table\n")
 
 
 @lru_cache(maxsize=256)
@@ -532,8 +581,8 @@ def states_score(scheme: Scheme, labels: Sequence, states: Sequence) -> float:
     status states: states[t] is the fold of step_state over its first t
     steps (states[0] the start).
 
-    The same fold that status_table runs, so the score equals
-    pluralism_score bit for bit.
+    The step runs the lines that status_table's kernel runs, so the
+    score equals pluralism_score bit for bit.
     """
     status = scheme.status
     vectors = [state_vector(status, states[t]) for t in label_times(scheme.filter, labels)]
@@ -541,20 +590,15 @@ def states_score(scheme: Scheme, labels: Sequence, states: Sequence) -> float:
 
 
 def status_table(scheme: Scheme, traj: Trajectory) -> list:
-    """[(t, U(τ_t)) for every filtered t], folding step_state up to each t."""
+    """[(t, U(τ_t)) for every filtered t], from one call of the status's
+    table kernel, which folds the status step up to each t in turn."""
     times = filter_times(scheme.filter, traj)
     if not times:
         return []
     status = scheme.status
-    states, actions, labels = traj.states, traj.actions, traj.labels
-    check_labels(status, labels[:times[-1]])
-    state = status.start
-    rows = []
-    for t in times:
-        for i in range(state[0], t):
-            state = step_state(status, state, states[i], actions[i], states[i + 1], labels[i])
-        rows.append((t, state_vector(status, state)))
-    return rows
+    check_labels(status, traj.labels[:times[-1]])
+    return list(zip(times, status.table(status.start, traj.states, traj.actions, traj.labels,
+                                        times)))
 
 
 def pluralism_score(scheme: Scheme, traj: Trajectory) -> float:

@@ -260,8 +260,8 @@ class TestMemoryQ:
 
 @pytest.mark.parametrize("horizon", [1, 4])
 def test_memory_q_steps_each_status_state_once(monkeypatch, horizon):
-    """step_state runs once per distinct (node, action) link taken, plus H
-    times in _result's rescoring of the returned run."""
+    """step_state runs once per distinct (node, action) link taken; _result's
+    rescoring of the returned run folds the status table kernel instead."""
     stepped = []
     real_step_state = scheme_module.step_state
 
@@ -273,11 +273,10 @@ def test_memory_q_steps_each_status_state_once(monkeypatch, horizon):
     monkeypatch.setattr(scheme_module, "step_state", recording)
     monkeypatch.setattr(optimize_module, "EPSILON", 1.0)
     optimize_memory_q(distinct_env(2), count_scheme(2), horizon, episodes=200, seed=0)
-    learned = stepped[:-horizon]
-    assert len(set(learned)) == len(learned)
+    assert len(set(stepped)) == len(stepped)
     # A node at depth t is (v_t, the counts of t visits): t + 1 nodes with
     # 2 links each, all taken by 200 random episodes: H(H + 1) links.
-    assert len(learned) == horizon * (horizon + 1)
+    assert len(stepped) == horizon * (horizon + 1)
 
 
 def test_memory_q_resets_the_env_as_replay_does(monkeypatch):
@@ -293,7 +292,8 @@ def test_memory_q_resets_the_env_as_replay_does(monkeypatch):
 @pytest.mark.parametrize("lookahead, links", [(1, 8), (2, 14), (4, 20)])
 def test_greedy_steps_each_edge_once(monkeypatch, lookahead, links):
     """step_state and env.step run once per distinct (node, action) link
-    the scans walk, plus H step_state calls in _result's rescoring."""
+    the scans walk; _result's rescoring folds the status table kernel
+    instead."""
     env, horizon = distinct_env(2), 4
     stepped, env_steps = [], []
     real_step_state, real_env_step = scheme_module.step_state, env.step
@@ -306,13 +306,12 @@ def test_greedy_steps_each_edge_once(monkeypatch, lookahead, links):
     monkeypatch.setattr(scheme_module, "step_state", recording)
     monkeypatch.setattr(env, "step", lambda *args: env_steps.append(args) or real_env_step(*args))
     optimize_greedy(env, count_scheme(2), horizon, lookahead)
-    learned = stepped[:-horizon]
-    assert len(set(learned)) == len(learned) == len(env_steps)
+    assert len(set(stepped)) == len(stepped) == len(env_steps)
     # A node at depth t is (v_t, the counts of t visits).  Lookahead 1 walks
     # the 2 links of each committed node; lookahead 4 walks all t + 1 nodes
     # of depths 0-3, H(H + 1) links; lookahead 2 walks the 6 links below the
     # root, then 4 below (v1, (1, 0)) and 4 below (v2, (2, 0)).
-    assert len(learned) == links
+    assert len(stepped) == links
 
 
 @pytest.mark.parametrize("env_name", sorted(p.name for p in FIXTURES.glob("*.env")))

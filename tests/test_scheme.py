@@ -34,6 +34,7 @@ from temporal_pluralism.scheme import (
     log_pluralism_score,
     pluralism_score,
     pluralism_score_reference,
+    state_vector,
     states_score,
     status_eval,
     status_table,
@@ -163,7 +164,47 @@ def factory(atom_0, machine_1, get_2, default_2, gamma_0, gamma_1, gamma_2):
             total_1 + weight_1 * r_1 if r_1 else total_1,
             total_2 + weight_2 * r_2 if r_2 else total_2,
         ), (weight_0 * gamma_0, weight_1 * gamma_1, weight_2 * gamma_2), (None, m_1, None))
-    return step
+    def table(state, states, actions, labels, times):
+        t, (total_0, total_1, total_2), weights, machine_states = state
+        (weight_0, weight_1, weight_2) = weights
+        (_, m_1, _) = machine_states
+        rows = []
+        for stop in times:
+            for s, a, s2, label in zip(states[t:stop], actions[t:stop], states[t + 1:stop + 1], labels[t:stop]):
+                m_1, r_1 = step_machine(machine_1, m_1, label)
+                r_2 = get_2((s, a, s2), default_2)
+                total_0 = total_0 + weight_0 if atom_0 in label else total_0
+                total_1 = total_1 + weight_1 * r_1 if r_1 else total_1
+                total_2 = total_2 + weight_2 * r_2 if r_2 else total_2
+                weight_0 = weight_0 * gamma_0
+                weight_1 = weight_1 * gamma_1
+                weight_2 = weight_2 * gamma_2
+            t = stop
+            rows.append((total_0, total_1 / t, total_2))
+        return rows
+    return step, table
+"""
+
+# Without a Markov stakeholder the table reads only the labels.
+COUNT_TEXT = """\
+def factory(atom_0):
+    def step(state, s, a, s2, label):
+        t, (total_0,), weights, machine_states = state
+        (weight_0,) = weights
+        return (t + 1, (
+            total_0 + weight_0 if atom_0 in label else total_0,
+        ), weights, machine_states)
+    def table(state, states, actions, labels, times):
+        t, (total_0,), weights, machine_states = state
+        (weight_0,) = weights
+        rows = []
+        for stop in times:
+            for label in labels[t:stop]:
+                total_0 = total_0 + weight_0 if atom_0 in label else total_0
+            t = stop
+            rows.append((total_0,))
+        return rows
+    return step, table
 """
 
 
@@ -171,45 +212,75 @@ class TestStepKernel:
     def status(self, atom="pasta", gamma=0.5):
         return StatusFunction((
             StakeholderStatus(AtomCountSource(atom)),
-            StakeholderStatus(MachineSource(dinner_machine())),
+            StakeholderStatus(MachineSource(dinner_machine()), "mean"),
             StakeholderStatus(MarkovTableSource({("s0", "go", "s1"): 2.0}), "discounted", gamma),
         ))
 
     def test_the_generated_source_is_pinned(self):
-        assert _step_text(("count", "machine", "markov"), True) == STEP_TEXT
+        assert _step_text(("count", "machine", "markov"), True, (1,)) == STEP_TEXT
+        assert _step_text(("count",), False, ()) == COUNT_TEXT
 
     def test_the_code_names_the_kernel(self):
-        code = self.status().step.__code__
-        assert code.co_filename == "<status step: count, machine, markov>"
-        assert code.co_name == "step"
+        status = self.status()
+        for kernel, name in ((status.step, "step"), (status.table, "table")):
+            assert kernel.__code__.co_filename == "<status step: count, machine, markov>"
+            assert kernel.__code__.co_name == name
 
     def test_one_shape_shares_one_factory_and_keeps_its_own_constants(self):
         first, second = self.status(), self.status(atom="cake", gamma=0.25)
         assert first.step is first.step  # built once
+        assert first.table is first.table
         assert first.step is not second.step
         assert first.step.__code__ is second.step.__code__
+        assert first.table.__code__ is second.table.__code__
         state = second.step(second.start, "s0", "go", "s1", frozenset({"cake"}))
         assert state == (1, (1.0, 0.0, 2.0), (1.0, 1.0, 0.25), (None, "u2", None))
         state = first.step(first.start, "s0", "go", "s1", frozenset({"cake"}))
         assert state == (1, (0.0, 0.0, 2.0), (1.0, 1.0, 0.5), (None, "u2", None))
 
+    def test_the_table_reads_each_time_off_the_fold_of_the_step(self):
+        status = self.status()
+        traj = traj_from_labels([{"pasta"}, set(), {"cake"}, {"pasta"}, set()])
+        times = (2, 3, 5)
+        rows = status.table(status.start, traj.states, traj.actions, traj.labels, times)
+        folded = [status.start]  # folded[t]: the state after t steps
+        for s, a, s2, label in zip(traj.states, traj.actions, traj.states[1:], traj.labels):
+            folded.append(status.step(folded[-1], s, a, s2, label))
+        expected = [state_vector(status, folded[t]) for t in times]
+        assert rows == expected == [(1.0, 0.0, 2.0), (1.0, 1 / 3, 2.0), (2.0, 0.2, 2.0)]
+        # From a later state, the table steps on from that state's time.
+        rows = status.table(folded[3], traj.states, traj.actions, traj.labels, (5,))
+        assert rows == expected[-1:]
+
     def test_a_used_status_function_pickles_and_steps_alike(self):
         status = self.status()
         label = frozenset({"pasta"})
+        traj = traj_from_labels([{"pasta"}, {"cake"}])
         state = status.step(status.start, "s0", "go", "s1", label)
+        rows = status.table(status.start, traj.states, traj.actions, traj.labels, (1, 2))
+        assert set(status.__dict__) >= {"_kernel", "step", "table"}
+        fields = set(status.__getstate__())
+        assert fields == {"stakeholders", "discounts", "machines", "averages", "start"}
         copy = pickle.loads(pickle.dumps(status))
         assert copy == status
         assert copy.step(copy.start, "s0", "go", "s1", label) == state
+        assert copy.table(copy.start, traj.states, traj.actions, traj.labels, (1, 2)) == rows
 
     def test_a_machine_step_is_looked_up_when_the_kernel_runs(self, monkeypatch):
         status = self.status()
+        traj = traj_from_labels([set(), set()])
         status.step(status.start, "s0", "go", "s1", frozenset())
+        status.table(status.start, traj.states, traj.actions, traj.labels, (1, 2))
         calls = []
         monkeypatch.setattr(scheme_module, "step_machine",
                             lambda *args: calls.append(args) or ("u1", 0.0))
         state = status.step(status.start, "s0", "go", "s1", frozenset())
-        assert calls == [(status.stakeholders[1].source.machine, "u0", frozenset())]
+        machine = status.stakeholders[1].source.machine
+        assert calls == [(machine, "u0", frozenset())]
         assert state[3] == (None, "u1", None)
+        calls.clear()
+        status.table(status.start, traj.states, traj.actions, traj.labels, (1, 2))
+        assert calls == [(machine, "u0", frozenset()), (machine, "u1", frozenset())]
 
 
 class TestStatusEval:
@@ -648,13 +719,17 @@ def test_incremental_equals_scratch_bit_for_bit(scheme, traj):
     assert repr(fast) == repr(slow)  # no tolerance: the routes share their arithmetic
 
 
+@settings(max_examples=300)
 @given(schemes, trajectories)
 def test_status_table_matches_scratch(scheme, traj):
-    every_prefix = Scheme(scheme.status, scheme.aggregation, AnytimeFilter())
-    rows = status_table(every_prefix, traj)
-    assert [t for t, _ in rows] == list(range(1, traj.horizon + 1))
+    """Under every filter kind, each row is status_eval of its prefix, entry
+    for entry by repr (a -0.0 against a 0.0 is a difference).  Every filter
+    but the anytime one makes the table kernel step several times between
+    two rows."""
+    rows = status_table(scheme, traj)
+    assert tuple(t for t, _ in rows) == filter_times(scheme.filter, traj)
     for t, vec in rows:
-        assert vec == status_eval(scheme.status, traj.prefix(t))
+        assert list(map(repr, vec)) == list(map(repr, status_eval(scheme.status, traj.prefix(t))))
 
 
 # the learner's reward, read off the states of its own fold, is the score
