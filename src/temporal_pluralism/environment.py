@@ -14,7 +14,9 @@ Because a step is a pure function of (state, action), an environment may
 compute each transition once: `RestaurantEnv` builds its labels at
 construction, and `DeliveryGridEnv` records each (state, action) it is
 asked for, and each state id, the first time, so the many replays of
-an exhaustive search compute no transition twice.
+an exhaustive search compute no transition twice.  Exhaustive search
+still replays every candidate, but scores each distinct label sequence
+once: without a Markov table, a score reads only a trajectory's labels.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class Trajectory:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "labels", tuple(frozenset(l) for l in self.labels))
+        object.__setattr__(self, "labels", tuple(map(frozenset, self.labels)))
         if len(self.states) != len(self.actions) + 1:
             raise ValueError(
                 f"{len(self.states)} states do not fit {len(self.actions)} actions"
@@ -273,13 +275,14 @@ def replay(env: LabelledEnv, actions: Iterable[str], seed: int = 0) -> Trajector
     rollout) picks it with every earlier step already taken.  The env is
     handed no randomness: `step` always receives None.
     """
+    step, state_id = env.step, env.state_id
     state = env.reset(seed)
-    states = [env.state_id(state)]
+    states = [state_id(state)]
     acts: list[str] = []
     labels: list[frozenset] = []
     for action in actions:
-        state, valuation = env.step(state, action, None)
-        states.append(env.state_id(state))
+        state, valuation = step(state, action, None)
+        states.append(state_id(state))
         acts.append(action)
         labels.append(valuation)
     return Trajectory(states=tuple(states), actions=tuple(acts), labels=tuple(labels))

@@ -7,15 +7,20 @@ declared action order, which keeps golden results stable across platforms.
 
 optimize_exhaustive is the exact oracle (every action sequence within a
 budget); it is the one method that replays, each candidate from reset.
-optimize_greedy commits one action at a time after scoring d-step
-extensions.  Neither uses randomness, and `evaluations` is the number of
-candidates, computed rather than counted.  _best is the one loop over
+Unless a stakeholder reads states or actions (a Markov table), a score is
+a function of the labels alone, so it scores each distinct label sequence
+once and looks the rest up (_replay_score).  optimize_greedy commits one
+action at a time after scoring d-step extensions.  Neither uses
+randomness, and `evaluations` is the number of candidates, computed
+rather than counted; it is known before the first step, so a search of
+more than its budget is refused at once.  _best is the one loop over
 candidates for both.  optimize_memory_q learns a tabular policy over the
 environment state augmented with the scheme's status state (see
 scheme.step_state), with the whole-trajectory score granted as a
 terminal reward; its seed drives exploration only.  It takes every
 scheme the scorer scores, and its table needs no cap: it gains at most
-one node per step of each episode.
+one node per step of each episode.  Its (episodes + 1) * horizon steps
+are bounded by DEFAULT_BUDGET in the same way.
 
 Both heuristics search _Graph, whose nodes are the keys (state id,
 status state) and whose edges are stepped once, the first time a scan or
@@ -59,6 +64,7 @@ class PolicyResult:
 
 DEFAULT_BUDGET = 10_000_000
 EPSILON = 0.3  # memory_q's exploration rate
+_MEMO_BOUND = 1 << 16  # label sequences exhaustive search keeps the score of, at most
 
 
 def _result(scheme: Scheme, traj: Trajectory, method: str, evaluations: int) -> PolicyResult:
@@ -166,6 +172,38 @@ def _exceeds(k: int, horizon: int, budget: int) -> bool:
     return k**horizon > budget
 
 
+def _replay_score(env: LabelledEnv, scheme: Scheme):
+    """Exhaustive search's key: the score of an action sequence's replay.
+
+    Without a Markov stakeholder (StatusFunction.markov) a score, or its
+    EmptyFilterError, is a function of the labels alone, so it is kept
+    under the replay's label sequence, for the first _MEMO_BOUND
+    sequences, and a replay whose labels were scored before is not scored
+    again.  An unscorable sequence keeps its error's message, not the
+    error: raising one object twice would chain its tracebacks, whose
+    frames hold the memo.
+    """
+    if scheme.status.markov:
+        return lambda seq: pluralism_score(scheme, replay(env, seq))
+    memo = {}
+
+    def score(seq):
+        traj = replay(env, seq)
+        value = memo.get(traj.labels)
+        if value is None:
+            try:
+                value = pluralism_score(scheme, traj)
+            except EmptyFilterError as err:
+                value = str(err)
+            if len(memo) < _MEMO_BOUND:
+                memo[traj.labels] = value
+        if value.__class__ is str:
+            raise EmptyFilterError(value)
+        return value
+
+    return score
+
+
 def optimize_exhaustive(
     env: LabelledEnv,
     scheme: Scheme,
@@ -174,18 +212,18 @@ def optimize_exhaustive(
 ) -> PolicyResult:
     """Enumerate every action sequence of the given length; exact maximum.
 
-    Each candidate is replayed from reset and scored.  Candidates the
-    scheme cannot score (the filter selects no prefix, as an event-count
-    filter may) are skipped; if nothing at all is scorable the
-    EmptyFilterError surfaces.  Ties keep the lexicographically first
-    sequence in declared action order.
+    Each candidate is replayed from reset and scored, each distinct label
+    sequence once unless a stakeholder reads states or actions (see
+    _replay_score).  Candidates the scheme cannot score (the filter
+    selects no prefix, as an event-count filter may) are skipped; if
+    nothing at all is scorable the EmptyFilterError surfaces.  Ties keep
+    the lexicographically first sequence in declared action order.
     """
     _check(env, scheme, horizon)
     k = len(env.actions)
     if _exceeds(k, horizon, budget):
         raise BudgetExceededError(f"{k}^{horizon} sequences exceed the budget {budget}")
-    best = _best(itertools.product(env.actions, repeat=horizon),
-                 lambda seq: pluralism_score(scheme, replay(env, seq)))
+    best = _best(itertools.product(env.actions, repeat=horizon), _replay_score(env, scheme))
     return _result(scheme, replay(env, best), "exhaustive", k**horizon)
 
 
@@ -207,8 +245,9 @@ def optimize_greedy(
     pick a favorite stakeholder forever.  That vector is bit for bit
     status_eval of the replayed sequence (see scheme.step_state).  Ties
     keep declared action order, so lookahead == horizon reproduces the
-    exhaustive result.  A scan of more than DEFAULT_BUDGET extensions
-    is refused before the first step, as exhaustive search refuses one.
+    exhaustive result.  A scan of more than DEFAULT_BUDGET extensions,
+    or more than DEFAULT_BUDGET extensions in all, is refused before the
+    first step, as exhaustive search refuses one.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be >= 1")
@@ -217,8 +256,15 @@ def optimize_greedy(
     if _exceeds(k, scan, DEFAULT_BUDGET):
         raise BudgetExceededError(
             f"{k}^{scan} extensions per scan exceed the budget {DEFAULT_BUDGET}")
+    # k**scan for each commit while scan steps remain, then k**d for each
+    # shorter scan d: (horizon - scan) * k**scan + the sum of k**d, 0 < d <= scan
+    evaluations = (horizon - scan) * k**scan + (
+        (k**(scan + 1) - k) // (k - 1) if k > 1 else k * scan)
+    if evaluations > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"{horizon} scans of up to {k}^{scan} extensions exceed the budget {DEFAULT_BUDGET}")
     graph = _Graph(env, scheme.status)
-    nodes, edges, evaluations = [graph.root], [], 0
+    nodes, edges = [graph.root], []
     while len(edges) < horizon:
         depth = min(lookahead, horizon - len(edges))
         if len(edges) + depth < horizon:
@@ -230,7 +276,6 @@ def optimize_greedy(
             def key(ext):
                 return graph.score(scheme, *graph.walk(nodes[:], edges[:], ext))
         graph.walk(nodes, edges, _best(itertools.product(range(k), repeat=depth), key)[:1])
-        evaluations += k**depth
     return _result(scheme, graph.trajectory(nodes, edges), "greedy", evaluations)
 
 
@@ -263,10 +308,15 @@ def optimize_memory_q(
     probability EPSILON (0.3, fixed), else the first best of its row.
     Reproducible per seed; zero episodes yield the policy that always
     takes the first declared action (empty table, lexicographic ties).
+    More than DEFAULT_BUDGET steps in all, (episodes + 1) * horizon, are
+    refused before the first step.
     """
     _check(env, scheme, horizon)
     if episodes < 0:
         raise ValueError("episodes must be >= 0")
+    if (episodes + 1) * horizon > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"{episodes + 1} episodes of {horizon} steps exceed the budget {DEFAULT_BUDGET}")
     graph = _Graph(env, scheme.status)
     k, root, succ, child = graph.k, graph.root, graph.succ, graph.child
     rows = [[0.0] * k]  # node i's Q row

@@ -154,14 +154,17 @@ class StakeholderStatus:
 @dataclass(frozen=True)
 class StatusFunction:
     """The stakeholders, and facts about them fixed at construction: does
-    any discount (gamma < 1) or average; the (stakeholder number, alphabet
-    atoms) of each machine stakeholder; and `start`, the status state of
-    the empty prefix.  `step`, the status step, and `table`, its fold down
-    a trajectory, are built on first use, since building them at
+    any discount (gamma < 1) or average; does any read states and actions
+    (`markov`: a Markov table does, so without one a score is a function
+    of the labels alone); the (stakeholder number, alphabet atoms) of
+    each machine stakeholder; and `start`, the status state of the empty
+    prefix.  `step`, the status step, and `table`, its fold down a
+    trajectory, are built on first use, since building them at
     construction would cost every load."""
 
     stakeholders: tuple[StakeholderStatus, ...]
     discounts: bool = field(init=False, repr=False, compare=False)
+    markov: bool = field(init=False, repr=False, compare=False)
     machines: tuple = field(init=False, repr=False, compare=False)
     averages: bool = field(init=False, repr=False, compare=False)
     start: tuple = field(init=False, repr=False, compare=False)
@@ -174,6 +177,8 @@ class StatusFunction:
         machines = [sk.source.machine if isinstance(sk.source, MachineSource) else None
                     for sk in sks]
         object.__setattr__(self, "discounts", any(sk.gamma != 1.0 for sk in sks))
+        object.__setattr__(self, "markov",
+                           any(isinstance(sk.source, MarkovTableSource) for sk in sks))
         object.__setattr__(self, "machines", tuple([
             (i, frozenset(m.alphabet)) for i, m in enumerate(machines, 1) if m is not None]))
         object.__setattr__(self, "averages", any(sk.accumulation == "mean" for sk in sks))
@@ -284,7 +289,8 @@ def _step_text(kinds: tuple, discounts: bool, means: tuple) -> str:
     same reward, total and weight lines over the steps up to each of
     `times` in turn, keeping every part of the state in a local, and reads
     U off at each time as state_vector does (t >= 1 there).  It zips in
-    the states and actions only when a Markov stakeholder reads them.
+    the states and actions only when a Markov stakeholder reads them
+    (StatusFunction.markov).
 
     The lines mirror _accumulate step for step: the same additions in the
     same order, so vectors read off the state match the scratch route
@@ -589,21 +595,25 @@ def states_score(scheme: Scheme, labels: Sequence, states: Sequence) -> float:
     return _filtered_score(scheme, len(labels), vectors)
 
 
-def status_table(scheme: Scheme, traj: Trajectory) -> list:
-    """[(t, U(τ_t)) for every filtered t], from one call of the status's
+def _table(scheme: Scheme, traj: Trajectory) -> tuple:
+    """(the filtered times, U(τ_t) at each), from one call of the status's
     table kernel, which folds the status step up to each t in turn."""
     times = filter_times(scheme.filter, traj)
     if not times:
-        return []
+        return times, []
     status = scheme.status
     check_labels(status, traj.labels[:times[-1]])
-    return list(zip(times, status.table(status.start, traj.states, traj.actions, traj.labels,
-                                        times)))
+    return times, status.table(status.start, traj.states, traj.actions, traj.labels, times)
+
+
+def status_table(scheme: Scheme, traj: Trajectory) -> list:
+    """[(t, U(τ_t)) for every filtered t]."""
+    return list(zip(*_table(scheme, traj)))
 
 
 def pluralism_score(scheme: Scheme, traj: Trajectory) -> float:
     """The scheme's score of the trajectory (incremental route)."""
-    return _filtered_score(scheme, traj.horizon, [vec for _, vec in status_table(scheme, traj)])
+    return _filtered_score(scheme, traj.horizon, _table(scheme, traj)[1])
 
 
 def pluralism_score_reference(scheme: Scheme, traj: Trajectory) -> float:
@@ -626,10 +636,10 @@ def log_pluralism_score(scheme: Scheme, traj: Trajectory) -> float:
     """
     if scheme.aggregation.mode != "flattened" or scheme.aggregation.op != "product":
         raise PluralismError("log score needs flattened product aggregation")
-    rows = status_table(scheme, traj)
-    if not rows:
+    vectors = _table(scheme, traj)[1]
+    if not vectors:
         return math.log(_empty_filter_result(scheme, traj.horizon))
-    entries = [x for _, vec in rows for x in vec]
+    entries = [x for vec in vectors for x in vec]
     if any(x <= 0.0 for x in entries):
         raise PluralismError("log score undefined: some status entry is <= 0")
     # _reduce's sorted sequential fold, not the builtin sum, whose

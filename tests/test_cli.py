@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,27 @@ class TestOptimize:
         assert code == 1
         assert "error: 5^10000 sequences exceed the budget" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method, message", [
+        ("greedy", "error: 99999999999999999999 scans of up to 3^1 extensions exceed the budget"),
+        ("memory_q", "error: 5001 episodes of 99999999999999999999 steps exceed the budget"),
+    ])
+    def test_a_heuristic_over_the_budget_is_refused_at_once(
+            self, run_cli, fixtures_dir, tmp_path, method, message):
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            "optimize",
+            "--env", str(fixtures_dir / "restaurant3.env"),
+            "--scheme", str(fixtures_dir / "restaurant3_longterm_nash.scheme"),
+            "--method", method,
+            "--horizon", "99999999999999999999",
+            "--seed", "0",
+            "--out", str(tmp_path / "run"),
+        )
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith(message) and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("method, flags, message", [
         ("greedy", ("--budget", "1"), "--method greedy takes no --budget"),

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from temporal_pluralism import optimize as optimize_module
 from temporal_pluralism import scheme as scheme_module
 from temporal_pluralism.environment import (
+    DeliveryConfig,
+    DeliveryGridEnv,
     LabelledEnv,
     RestaurantConfig,
     RestaurantEnv,
@@ -17,6 +19,7 @@ from temporal_pluralism.environment import (
     replay,
     rollout,
 )
+from temporal_pluralism.errors import PluralismError
 from temporal_pluralism.formula import parse_formula
 from temporal_pluralism.machine import RewardMachine, Transition
 from temporal_pluralism.optimize import (
@@ -29,6 +32,7 @@ from temporal_pluralism.optimize import (
 from temporal_pluralism.scheme import (
     Aggregation,
     AlphabetMismatchError,
+    AnytimeFilter,
     AtomCountSource,
     EmptyFilterError,
     EventCountFilter,
@@ -40,6 +44,7 @@ from temporal_pluralism.scheme import (
     StakeholderStatus,
     StatusFunction,
     pluralism_score,
+    pluralism_score_reference,
     status_eval,
 )
 from temporal_pluralism.serialize import load_env, load_scheme
@@ -148,6 +153,27 @@ class TestGreedy:
             optimize_greedy(env, scheme, horizon=12, lookahead=12)
         assert time.perf_counter() - started < 1.0
 
+    def test_a_huge_horizon_is_refused_at_once(self, fixtures_dir):
+        env = load_env(fixtures_dir / "restaurant3.env")
+        scheme = load_scheme(fixtures_dir / "restaurant3_longterm_nash.scheme")
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match=r"^99999999999999999999 scans of up to 3\^1 extensions exceed"):
+            optimize_greedy(env, scheme, horizon=99999999999999999999)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("horizon, lookahead", [(7, 2), (5, 5), (6, 3), (1, 4)])
+    def test_the_budget_bounds_the_evaluations_exactly(self, monkeypatch, horizon, lookahead):
+        env, scheme = distinct_env(3), count_scheme(3)
+        evaluations = optimize_greedy(env, scheme, horizon, lookahead).evaluations
+        scans = [3**min(lookahead, horizon - t) for t in range(horizon)]
+        assert evaluations == sum(scans)
+        monkeypatch.setattr(optimize_module, "DEFAULT_BUDGET", evaluations)
+        assert optimize_greedy(env, scheme, horizon, lookahead).evaluations == evaluations
+        monkeypatch.setattr(optimize_module, "DEFAULT_BUDGET", evaluations - 1)
+        with pytest.raises(BudgetExceededError, match=f"exceed the budget {evaluations - 1}$"):
+            optimize_greedy(env, scheme, horizon, lookahead)
+
     def test_trap_fixture_fools_one_step_lookahead(self, fixtures_dir):
         env = load_env(fixtures_dir / "greedy_trap.env")
         scheme = load_scheme(fixtures_dir / "greedy_trap.scheme")
@@ -197,6 +223,23 @@ class TestMemoryQ:
         env, scheme = distinct_env(2), count_scheme(2)
         with pytest.raises(ValueError, match="episodes must be >= 0"):
             optimize_memory_q(env, scheme, horizon=2, episodes=-1)
+
+    def test_a_huge_horizon_is_refused_at_once(self, fixtures_dir):
+        env = load_env(fixtures_dir / "restaurant3.env")
+        scheme = load_scheme(fixtures_dir / "restaurant3_longterm_nash.scheme")
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match=r"^5001 episodes of 99999999999999999999 steps exceed"):
+            optimize_memory_q(env, scheme, horizon=99999999999999999999)
+        assert time.perf_counter() - started < 1.0
+
+    def test_the_budget_bounds_the_steps_exactly(self, monkeypatch):
+        env, scheme = distinct_env(2), count_scheme(2)
+        monkeypatch.setattr(optimize_module, "DEFAULT_BUDGET", 11 * 4)
+        assert optimize_memory_q(env, scheme, horizon=4, episodes=10).evaluations == 11
+        with pytest.raises(BudgetExceededError,
+                           match=f"^12 episodes of 4 steps exceed the budget {11 * 4}$"):
+            optimize_memory_q(env, scheme, horizon=4, episodes=11)
 
     def test_zero_episodes_take_the_first_action_forever(self):
         env, scheme = distinct_env(2), count_scheme(2)
@@ -503,3 +546,224 @@ def test_no_randomness_reaches_the_environment():
     optimize_greedy(env, scheme, horizon=3, lookahead=2)
     optimize_memory_q(env, scheme, horizon=3, episodes=50, seed=3)
     assert env.handed == {None}
+
+
+# ---------------------------------------------------------------------------
+# exhaustive search scores each distinct label sequence once
+
+
+def _brute_force(env, scheme, horizon):
+    """Exhaustive search with no memo: every replay scored from scratch,
+    the first strictly largest score kept, unscorable sequences skipped."""
+    best = best_score = error = None
+    for seq in itertools.product(env.actions, repeat=horizon):
+        try:
+            score = pluralism_score_reference(scheme, replay(env, seq))
+        except EmptyFilterError as err:
+            error = err
+            continue
+        if best is None or score > best_score:
+            best, best_score = seq, score
+    if best is None:
+        raise error
+    return best_score, best
+
+
+def _result_or_error(search, env, scheme, horizon):
+    """(score by repr, actions), or the type and message of the error."""
+    try:
+        score, actions = search(env, scheme, horizon)
+    except (PluralismError, ValueError) as err:
+        return type(err), str(err)
+    return repr(score), actions
+
+
+def _exhaustive(env, scheme, horizon):
+    result = optimize_exhaustive(env, scheme, horizon)
+    assert result.evaluations == len(env.actions)**horizon
+    return result.score, result.trajectory.actions
+
+
+RESTAURANT_TYPES = ("italian", "sushi", "taco")
+
+
+@st.composite
+def small_envs(draw):
+    if draw(st.booleans()):
+        types = RESTAURANT_TYPES[:draw(st.integers(2, 3))]
+        n = draw(st.integers(1, 3))
+        preferred = tuple(draw(st.sampled_from(types)) for _ in range(n))
+        return RestaurantEnv(RestaurantConfig(n, types, preferred)), draw(st.integers(0, 4))
+    width, height = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    recipients = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2, unique=True))
+    start = draw(st.sampled_from(cells))
+    return DeliveryGridEnv(DeliveryConfig(width, height, start, recipients)), draw(st.integers(0, 3))
+
+
+# Negative, signed-zero and near-maximal rewards: two of ±1e308 overflow.
+REWARDS = st.sampled_from([0.25, 1.75, 2.0, -0.5, -0.0, 0.0, 1e308, -1e308])
+
+
+@st.composite
+def sources(draw, env, markov):
+    kinds = ["count", "machine"] + ["markov"] * markov
+    kind = draw(st.sampled_from(kinds))
+    atom = draw(st.sampled_from(env.alphabet))
+    if kind == "count":
+        return AtomCountSource(atom)
+    if kind == "machine":
+        alpha = env.alphabet
+        hit, miss = parse_formula(atom, alpha), parse_formula(f"!{atom}", alpha)
+        r = [draw(REWARDS) for _ in range(4)]
+        return MachineSource(RewardMachine(("a", "b"), "a", alpha, (
+            Transition("a", hit, "b", r[0]), Transition("a", miss, "a", r[1]),
+            Transition("b", hit, "a", r[2]), Transition("b", miss, "b", r[3]),
+        )))
+    # keys along one replay, so the table is read, not only its default
+    traj = replay(env, draw(st.lists(st.sampled_from(env.actions), min_size=1, max_size=3)))
+    keys = list(zip(traj.states, traj.actions, traj.states[1:]))
+    return MarkovTableSource({key: draw(REWARDS) for key in keys}, default=draw(REWARDS))
+
+
+OPS = st.sampled_from(("product", "sum", "min", "mean"))
+
+
+@st.composite
+def instances(draw, markov=True):
+    env, horizon = draw(small_envs())
+    stakeholders = tuple(
+        StakeholderStatus(draw(sources(env, markov)), *draw(st.sampled_from(
+            [("sum", 1.0), ("mean", 1.0), ("discounted", 0.5)])))
+        for _ in range(draw(st.integers(1, 3))))
+    filt = draw(st.one_of(
+        st.just(LongTermFilter()), st.builds(PeriodicFilter, st.integers(1, 3)),
+        st.just(AnytimeFilter()),
+        st.builds(EventCountFilter, st.sampled_from(env.alphabet), st.integers(1, 2))))
+    aggregation = draw(st.one_of(
+        st.builds(Aggregation, mode=st.just("flattened"), op=OPS),
+        st.builds(Aggregation, mode=st.sampled_from(("time_then_stakeholders",
+                                                     "stakeholders_then_time")),
+                  inner_op=OPS, outer_op=OPS)))
+    empty_filter = "error"
+    if aggregation.mode == "flattened" and aggregation.op in ("product", "sum"):
+        empty_filter = draw(st.sampled_from(("error", "neutral")))
+    return env, Scheme(StatusFunction(stakeholders), aggregation, filt, empty_filter), horizon
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_exhaustive_search_matches_a_brute_force_without_a_memo(instance):
+    env, scheme, horizon = instance
+    assert (_result_or_error(_exhaustive, env, scheme, horizon)
+            == _result_or_error(_brute_force, env, scheme, horizon))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(markov=False), st.data())
+def test_without_a_markov_stakeholder_the_labels_fix_the_score(instance, data):
+    env, scheme, horizon = instance
+    assert not scheme.status.markov
+    traj = replay(env, data.draw(st.lists(st.sampled_from(env.actions),
+                                          min_size=horizon, max_size=horizon)))
+    other = type(traj)(tuple(f"other{i}" for i in range(horizon + 1)),
+                       tuple("elsewhere" for _ in traj.actions), traj.labels)
+
+    def score(t):
+        try:
+            return repr(pluralism_score(scheme, t))
+        except (PluralismError, ValueError) as err:
+            return type(err), str(err)
+
+    assert score(other) == score(traj)
+
+
+def test_a_markov_stakeholder_is_a_fact_of_the_status():
+    table = MarkovTableSource({}, default=1.0)
+    assert StatusFunction((StakeholderStatus(AtomCountSource("visit")),
+                           StakeholderStatus(table))).markov
+    assert not StatusFunction((StakeholderStatus(AtomCountSource("visit")),
+                               StakeholderStatus(_first_then("served_1", 1.0, 2.0)))).markov
+
+
+def _count_scores(monkeypatch):
+    scored = []
+    real = optimize_module.pluralism_score
+
+    def counting(scheme, traj):
+        scored.append(traj.labels)
+        return real(scheme, traj)
+
+    monkeypatch.setattr(optimize_module, "pluralism_score", counting)
+    return scored
+
+
+def _distinct_label_sequences(env, horizon):
+    return {replay(env, seq).labels for seq in itertools.product(env.actions, repeat=horizon)}
+
+
+@pytest.mark.parametrize("case", ["delivery2", "unwanted types"])
+def test_exhaustive_search_scores_each_label_sequence_once(monkeypatch, fixtures_dir, case):
+    if case == "delivery2":  # the first round can end at step 5
+        env = load_env(fixtures_dir / "delivery2.env")
+        scheme, horizon = load_scheme(fixtures_dir / "delivery2_roundly_nash.scheme"), 5
+    else:  # nobody prefers taco or thai, so both label a step {visit}
+        env = RestaurantEnv(RestaurantConfig(
+            2, ("italian", "sushi", "taco", "thai"), ("italian", "sushi")))
+        scheme, horizon = count_scheme(2, filt=PeriodicFilter(2)), 4
+    distinct = _distinct_label_sequences(env, horizon)
+    assert len(distinct) < len(env.actions)**horizon
+    scored = _count_scores(monkeypatch)
+    result = optimize_exhaustive(env, scheme, horizon)
+    assert result.evaluations == len(env.actions)**horizon
+    assert set(scored[:-1]) == distinct and len(scored) == len(distinct) + 1
+    assert scored[-1] == result.trajectory.labels  # _result rescores the winner
+
+
+def test_an_unscorable_label_sequence_is_scored_once(monkeypatch, fixtures_dir):
+    """No round of delivery2 ends within 4 steps: every sequence is
+    unscorable, each distinct one is scored once, and the last error
+    surfaces."""
+    env = load_env(fixtures_dir / "delivery2.env")
+    scheme = load_scheme(fixtures_dir / "delivery2_roundly_nash.scheme")
+    scored = _count_scores(monkeypatch)
+    with pytest.raises(EmptyFilterError, match="^no prefix of the horizon-4 trajectory passes"):
+        optimize_exhaustive(env, scheme, 4)
+    assert sorted(scored, key=repr) == sorted(_distinct_label_sequences(env, 4), key=repr)
+
+
+def test_a_markov_stakeholder_scores_every_sequence(monkeypatch):
+    """taco and thai label a step alike, and the table tells them apart."""
+    env = RestaurantEnv(RestaurantConfig(
+        2, ("italian", "sushi", "taco", "thai"), ("italian", "sushi")))
+    table = MarkovTableSource({("v0", "thai", "v1"): 10.0}, default=1.0)
+    scheme = Scheme(StatusFunction((StakeholderStatus(AtomCountSource("served_1")),
+                                    StakeholderStatus(table))), NASH, LongTermFilter())
+    scored = _count_scores(monkeypatch)
+    result = optimize_exhaustive(env, scheme, 3)
+    assert len(scored) == 4**3 + 1 > len(_distinct_label_sequences(env, 3)) + 1
+    assert result.trajectory.actions == ("thai", "italian", "italian")
+    assert result.score == 24.0  # 2 visits to italian times 10 + 1 + 1
+
+
+def _every_fixture_result():
+    out = []
+    for env_path in sorted(FIXTURES.glob("*.env")):
+        env = load_env(env_path)
+        for scheme_path in sorted(FIXTURES.glob("*.scheme")):
+            scheme = load_scheme(scheme_path)
+            for horizon in range(5):
+                try:
+                    result = optimize_exhaustive(env, scheme, horizon)
+                except PluralismError as err:
+                    out.append((type(err), str(err)))
+                else:
+                    out.append((repr(result.score), result.trajectory, result.evaluations))
+    return out
+
+
+@pytest.mark.parametrize("bound", [0, 1])
+def test_the_memo_bound_changes_no_result(monkeypatch, bound):
+    expected = _every_fixture_result()
+    monkeypatch.setattr(optimize_module, "_MEMO_BOUND", bound)
+    assert _every_fixture_result() == expected

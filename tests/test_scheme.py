@@ -260,7 +260,7 @@ class TestStepKernel:
         rows = status.table(status.start, traj.states, traj.actions, traj.labels, (1, 2))
         assert set(status.__dict__) >= {"_kernel", "step", "table"}
         fields = set(status.__getstate__())
-        assert fields == {"stakeholders", "discounts", "machines", "averages", "start"}
+        assert fields == {"stakeholders", "discounts", "markov", "machines", "averages", "start"}
         copy = pickle.loads(pickle.dumps(status))
         assert copy == status
         assert copy.step(copy.start, "s0", "go", "s1", label) == state
