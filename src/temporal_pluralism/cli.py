@@ -36,6 +36,7 @@ from .scheme import (
     pluralism_score,
 )
 from .serialize import (
+    _plain_number,
     env_description,
     format_real,
     kind_phrase,
@@ -271,17 +272,18 @@ def _file_kind(path: str) -> tuple:
     return _FILE_KINDS[suffix]
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, else a usage error."""
+def _int_at_least(low: int = None):
+    """argparse type: an integer >= low (any integer if no low is given),
+    written as the file readers take one (serialize._plain_number), else a
+    usage error."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got '{text}'")
-        return value
+        with contextlib.suppress(ValueError):
+            value = _plain_number(int, text)
+            if low is None or value >= low:
+                return value
+        bound = "" if low is None else f" >= {low}"
+        raise argparse.ArgumentTypeError(f"expected an integer{bound}, got '{text}'")
 
     return parse
 
@@ -306,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--policy", help="always:ACT | cycle:A,B | seq:A,B | random; a list is "
                     "split at commas outside quotes, each item read by shell quoting rules")
     ev.add_argument("--horizon", type=_int_at_least(0))
-    ev.add_argument("--seed", type=int, default=0, help="read only by --policy random")
+    ev.add_argument("--seed", type=_int_at_least(), default=0, help="read only by --policy random")
     ev.add_argument("--out", help="directory for the status CSV")
     ev.set_defaults(func=cmd_evaluate, parser=ev)
 
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--scheme", required=True)
     op.add_argument("--method", required=True, choices=("exhaustive", "greedy", "memory_q"))
     op.add_argument("--horizon", type=_int_at_least(0), required=True)
-    op.add_argument("--seed", type=int, required=True, help="read only by memory_q")
+    op.add_argument("--seed", type=_int_at_least(), required=True, help="read only by memory_q")
     op.add_argument("--out", required=True, help="directory for result files")
     op.add_argument("--budget", type=_int_at_least(0), help="exhaustive only")
     op.add_argument("--lookahead", type=_int_at_least(1), help="greedy only")

@@ -6,10 +6,12 @@ reward of a label sequence is the sum of the rewards emitted along the run,
 which lets a machine express history-dependent preferences that no per-step
 table can.
 
-Machines are required to be deterministic and total: for every state and
-every valuation over the alphabet, exactly one outgoing guard holds.  This
-is checked by exhaustive enumeration, which is exact but visits all
-2^|alphabet| valuations for every state: its cost doubles with each atom.
+A machine obeys one rule: for every state and every valuation over the
+alphabet, exactly one outgoing guard holds (so it is deterministic and
+total).  validate_machine reports each (state, valuation) that breaks it
+as one GuardProblem.  The rule is checked by exhaustive enumeration, which
+is exact but visits all 2^|alphabet| valuations for every state: its cost
+doubles with each atom.
 `pluralism validate` of a one-state machine took 0.18 s, 0.21 s and 0.42 s
 at 12, 14 and 16 atoms (process start included; a shared 2-CPU Xeon host,
 Python 3.11.7); see docs/formats.md.
@@ -50,7 +52,7 @@ class NoEnabledTransitionError(PluralismError):
 
 
 class MachineValidationError(PluralismError):
-    """Raised by require_valid when a machine fails the determinism/totality check."""
+    """Raised by require_valid when a machine breaks the exactly-one-guard rule."""
 
     def __init__(self, report: "MachineValidation", path: str = None):
         where = "" if path is None else f"{path}: "
@@ -72,26 +74,22 @@ class Transition:
 
 
 @dataclass(frozen=True)
-class NondeterministicGuards:
+class GuardProblem:
+    """A valuation on which the guards out of `state` do not enable exactly
+    one transition: `enabled` holds the indices of the transitions whose
+    guards hold, none (the machine is not total) or several (it is not
+    deterministic)."""
+
     state: str
     valuation: frozenset
-    transition_indices: tuple[int, ...]
+    enabled: tuple[int, ...]
 
     def describe(self) -> str:
-        idx = ", ".join(str(i) for i in self.transition_indices)
-        return (
-            f"state {self.state}: guards of transitions {idx} overlap on "
-            f"{format_valuation(self.valuation)}"
-        )
-
-
-@dataclass(frozen=True)
-class NotTotal:
-    state: str
-    valuation: frozenset
-
-    def describe(self) -> str:
-        return f"state {self.state}: no guard holds on {format_valuation(self.valuation)}"
+        where = format_valuation(self.valuation)
+        if not self.enabled:
+            return f"state {self.state}: no guard holds on {where}"
+        idx = ", ".join(str(i) for i in self.enabled)
+        return f"state {self.state}: guards of transitions {idx} overlap on {where}"
 
 
 # What validate_machine reports of a valid machine.
@@ -118,8 +116,8 @@ class RewardMachine:
 
     `states` keeps declaration order; `initial` must be one of them.  Guards
     may only mention atoms from `alphabet`.  Construction normalizes the
-    field types and checks referential integrity, but determinism and
-    totality are a separate (exhaustive) check, see validate_machine.
+    field types and checks referential integrity, but the rule that exactly
+    one guard holds is a separate (exhaustive) check, see validate_machine.
     """
 
     states: tuple[str, ...]
@@ -161,22 +159,20 @@ class RewardMachine:
 
 
 def validate_machine(machine: RewardMachine) -> MachineValidation:
-    """Exhaustively check determinism and totality.
+    """Exhaustively check that exactly one guard holds.
 
-    Every (state, valuation) pair is enumerated; a valuation enabling more
-    than one guard is reported as NondeterministicGuards, one enabling none
-    as NotTotal.  Problems are collected in state order, then valuation
-    order, so reports are stable.
+    Every (state, valuation) pair is enumerated, and each on which the
+    state's guards enable no transition or more than one is a GuardProblem.
+    Problems are collected in state order, then valuation order, so reports
+    are stable.
     """
     problems: list = []
     for state in machine.states:
         outgoing = machine._by_source[state]
         for valuation in all_valuations(machine.alphabet):
             enabled = [i for i, t in outgoing if eval_formula(t.guard, valuation)]
-            if len(enabled) > 1:
-                problems.append(NondeterministicGuards(state, valuation, tuple(enabled)))
-            elif not enabled:
-                problems.append(NotTotal(state, valuation))
+            if len(enabled) != 1:
+                problems.append(GuardProblem(state, valuation, tuple(enabled)))
     return MachineValidation(tuple(problems))
 
 

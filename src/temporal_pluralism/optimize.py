@@ -16,7 +16,7 @@ rather than counted; it is known before the first step, so a search of
 more than its budget is refused at once.  _best is the one loop over
 candidates for both.  optimize_memory_q learns a tabular policy over the
 environment state augmented with the scheme's status state (see
-scheme.step_state), with the whole-trajectory score granted as a
+StatusFunction.step), with the whole-trajectory score granted as a
 terminal reward; its seed drives exploration only.  It takes every
 scheme the scorer scores, and its table needs no cap: it gains at most
 one node per step of each episode.  Its (episodes + 1) * horizon steps
@@ -46,7 +46,6 @@ from .scheme import (
     state_vector,
     states_score,
     status_eval,  # not called: perfbench's tracer wraps optimize.status_eval
-    step_state,
 )
 
 
@@ -101,7 +100,7 @@ class _Graph:
     env state.  Edge i * k + a holds node i's successor under action a and
     that step's label, or None until it is first taken (child), when its
     label is checked (scheme.check_labels).  Stepping once is exact because
-    the environment is deterministic and step_state pure.  A path is its
+    the environment is deterministic and the status step pure.  A path is its
     nodes from the root and the edges between them.
     """
 
@@ -134,7 +133,7 @@ class _Graph:
             self.labels[edge] = label
             sid2 = self.env.state_id(state)
             self.succ[edge] = self.node(
-                state, sid2, step_state(self.status, memory, sid, action, sid2, label))
+                state, sid2, self.status.step(memory, sid, action, sid2, label))
         return self.succ[edge]
 
     def walk(self, nodes: list, edges: list, actions) -> tuple:
@@ -243,7 +242,7 @@ def optimize_greedy(
     ties broken by the sorted vector (worst entry first), which steers
     early play toward balance instead of letting declared action order
     pick a favorite stakeholder forever.  That vector is bit for bit
-    status_eval of the replayed sequence (see scheme.step_state).  Ties
+    status_eval of the replayed sequence (see StatusFunction.step).  Ties
     keep declared action order, so lookahead == horizon reproduces the
     exhaustive result.  A scan of more than DEFAULT_BUDGET extensions,
     or more than DEFAULT_BUDGET extensions in all, is refused before the
@@ -288,7 +287,7 @@ def optimize_memory_q(
 ) -> PolicyResult:
     """Episodic tabular Q-learning over (env state, status state).
 
-    The status state (scheme.step_state) holds all the scorer steps: the
+    The status state (StatusFunction.step) holds all the scorer steps: the
     step index, each stakeholder's running status and discount weight, and
     each machine's state.  Each key is a node of the graph, and an episode
     follows its stored edges, stepping only those no episode took before.

@@ -16,19 +16,20 @@ length-0 prefix is never scored: filters draw from (1..T) only.
 
 What a scheme remembers between steps is one flat, hashable status state
 `(t, totals, weights, machine states)`: `StatusFunction.start` is the
-empty prefix's, `step_state` advances it by one transition, and
+empty prefix's, `StatusFunction.step` advances it by one transition, and
 `state_vector` reads U off it.  Scoring folds that step along the
 trajectory, and the memory_q learner keys its Q-table on it and scores its
 episodes from it.
 
 What is fixed per status function is decided once, not on every step.
-`step_state` runs `StatusFunction.step`, a function generated on first
-use with one line per stakeholder, so no step tests a source's type
-(the way `dataclasses` and `namedtuple` build their methods).  Its twin
-`StatusFunction.table` runs the same lines down a whole trajectory.  Their
-text holds only stakeholder indices, source kinds and which stakeholders
-average, and every constant is an argument, so status functions of one
-shape share one compiled factory.
+`StatusFunction.step` is a function generated on first use with one line
+per stakeholder, so no step tests a source's type (the way `dataclasses`
+and `namedtuple` build their methods).  Its twin `StatusFunction.table`
+runs the same lines down a whole trajectory.  Their text holds only
+stakeholder indices, source kinds and which stakeholders average
+(`StatusFunction.means`, which state_vector reads too), and every
+constant is an argument, so status functions of one shape share one
+compiled factory.
 
 A label some machine stakeholder cannot read is refused by one rule,
 `check_labels`, before anything steps over it: `status_table` and
@@ -42,7 +43,7 @@ state in locals and reads U off at each filtered time;
 scratch.  Both run the same accumulation arithmetic in the same order, so
 they agree bit for bit, and the test suite holds them to that.  The
 optimizers, which step one edge at a time and key on the whole status
-state, fold `step_state` and score by `states_score`.
+state, fold `StatusFunction.step` and score by `states_score`.
 """
 
 from __future__ import annotations
@@ -154,19 +155,19 @@ class StakeholderStatus:
 @dataclass(frozen=True)
 class StatusFunction:
     """The stakeholders, and facts about them fixed at construction: does
-    any discount (gamma < 1) or average; does any read states and actions
-    (`markov`: a Markov table does, so without one a score is a function
-    of the labels alone); the (stakeholder number, alphabet atoms) of
-    each machine stakeholder; and `start`, the status state of the empty
+    any read states and actions (`markov`: a Markov table does, so without
+    one a score is a function of the labels alone); the (stakeholder
+    number, alphabet atoms) of each machine stakeholder; `means`, the
+    indices (from 0) of the stakeholders that average, which the kernel
+    and state_vector both read; and `start`, the status state of the empty
     prefix.  `step`, the status step, and `table`, its fold down a
     trajectory, are built on first use, since building them at
     construction would cost every load."""
 
     stakeholders: tuple[StakeholderStatus, ...]
-    discounts: bool = field(init=False, repr=False, compare=False)
     markov: bool = field(init=False, repr=False, compare=False)
     machines: tuple = field(init=False, repr=False, compare=False)
-    averages: bool = field(init=False, repr=False, compare=False)
+    means: tuple = field(init=False, repr=False, compare=False)
     start: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -176,12 +177,12 @@ class StatusFunction:
         sks, n = self.stakeholders, len(self.stakeholders)
         machines = [sk.source.machine if isinstance(sk.source, MachineSource) else None
                     for sk in sks]
-        object.__setattr__(self, "discounts", any(sk.gamma != 1.0 for sk in sks))
         object.__setattr__(self, "markov",
                            any(isinstance(sk.source, MarkovTableSource) for sk in sks))
         object.__setattr__(self, "machines", tuple([
             (i, frozenset(m.alphabet)) for i, m in enumerate(machines, 1) if m is not None]))
-        object.__setattr__(self, "averages", any(sk.accumulation == "mean" for sk in sks))
+        object.__setattr__(self, "means", tuple([
+            i for i, sk in enumerate(sks) if sk.accumulation == "mean"]))
         object.__setattr__(self, "start", (0, (0.0,) * n, (1.0,) * n, tuple([
             None if m is None else m.initial for m in machines])))
 
@@ -206,18 +207,22 @@ class StatusFunction:
                 constants += [src.rewards.get, src.default]
             else:
                 raise TypeError(f"not a status source: {src!r}")
-        if self.discounts:
+        discounts = any(sk.gamma != 1.0 for sk in self.stakeholders)
+        if discounts:
             constants += [sk.gamma for sk in self.stakeholders]
-        means = tuple([i for i, sk in enumerate(self.stakeholders) if sk.accumulation == "mean"])
-        factory = _step_factory(_step_text(tuple(kinds), self.discounts, means),
+        factory = _step_factory(_step_text(tuple(kinds), discounts, self.means),
                                 f"<status step: {', '.join(kinds)}>")
         return factory(*constants)
 
     @cached_property
     def step(self):
-        """The status step, `step(state, s, a, s2, label)`, as one generated
+        """The status step, `step(state, s, a, s2, label)`: the status
+        state one transition (s, a, s2) with `label` later, so its fold
+        from `start` is the status state of a prefix.  One generated
         function with a line per stakeholder (see _step_text), built on
-        first use."""
+        first use.  Every machine stakeholder must be able to read
+        `label`: the callers refuse one it cannot (check_labels) before
+        they step."""
         return self._kernel[0]
 
     @cached_property
@@ -260,16 +265,6 @@ def status_eval(status: StatusFunction, traj: Trajectory) -> tuple:
     """U(τ): the status vector of one prefix, computed from scratch."""
     check_labels(status, traj.labels)
     return tuple(_accumulate(sk, traj) for sk in status.stakeholders)
-
-
-def step_state(status: StatusFunction, state: tuple, s: str, a: str, s2: str, label) -> tuple:
-    """The status state one transition (s, a, s2) with `label` later; the
-    fold of it from `status.start` is the status state of a prefix.
-
-    Every machine stakeholder must be able to read `label`: the callers
-    refuse one it cannot (check_labels) before they step.
-    """
-    return status.step(state, s, a, s2, label)
 
 
 def _tuple(items) -> str:
@@ -368,14 +363,11 @@ def _step_factory(text: str, filename: str):
 
 
 def state_vector(status: StatusFunction, state: tuple) -> tuple:
-    """U(τ_t) of the prefix the state has consumed."""
-    t, totals = state[0], state[1]
-    if not status.averages:
+    """U(τ_t) of the prefix of t >= 1 steps the state has consumed."""
+    t, totals, means = state[0], state[1], status.means
+    if not means:
         return totals  # sum and discounted statuses are their running totals
-    return tuple([
-        (total / t if t else 0.0) if sk.accumulation == "mean" else total
-        for sk, total in zip(status.stakeholders, totals)
-    ])
+    return tuple([total / t if i in means else total for i, total in enumerate(totals)])
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +576,8 @@ def _filtered_score(scheme: Scheme, horizon: int, vectors: list) -> float:
 
 def states_score(scheme: Scheme, labels: Sequence, states: Sequence) -> float:
     """The score of the trajectory whose steps carry `labels`, read off its
-    status states: states[t] is the fold of step_state over its first t
-    steps (states[0] the start).
+    status states: states[t] is the fold of the status step over its first
+    t steps (states[0] the start).
 
     The step runs the lines that status_table's kernel runs, so the
     score equals pluralism_score bit for bit.

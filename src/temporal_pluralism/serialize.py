@@ -14,6 +14,8 @@ and _FILTERS (each kind's class, how it is read and written, and the phrase
 scheme.AGGREGATION_MODES, with its phrase in _AGGREGATIONS; the scheme
 reader and writer and kind_phrase all drive off them.  Env kinds are stated
 once, in _ENVS, which env_to_text, parse_env_text and env_description read.
+A part (an env, source or filter) belongs to the first row of its table
+whose class it is an instance of, by one rule, _kind.
 
 Reals are written as the shortest string that parses back to the same
 double, with integral values written as plain integers.
@@ -370,7 +372,7 @@ def _parse_delivery(body: list, path: str) -> DeliveryGridEnv:
 
 # env keyword -> (env class, its reader of the lines after `env KIND`, the
 # directives that write its config back, the lines `describe` prints of its
-# config).  An env matches the first row whose class it is an instance of.
+# config)
 _ENVS = {
     "restaurant": (
         RestaurantEnv, _parse_restaurant,
@@ -391,23 +393,24 @@ _ENVS = {
 }
 
 
-def _env_kind(env: LabelledEnv) -> tuple:
-    """(keyword, row) of the _ENVS row `env` matches; an env of no row has
-    no text form."""
-    for kind, row in _ENVS.items():
-        if isinstance(env, row[0]):
+def _kind(table: dict, part) -> tuple:
+    """(keyword, row) of the first row of `table` (_ENVS, _SOURCES or
+    _FILTERS) whose class `part` is an instance of; a part of no row has no
+    text form."""
+    for kind, row in table.items():
+        if isinstance(part, row[0]):
             return kind, row
-    raise ValueError(f"no text form for {type(env).__name__}")
+    raise ValueError(f"no text form for {type(part).__name__}")
 
 
 def env_description(env: LabelledEnv) -> list:
     """The lines `describe` prints of the config of `env`: a heading, then
     one line per detail."""
-    return _env_kind(env)[1][3](env.config)
+    return _kind(_ENVS, env)[1][3](env.config)
 
 
 def env_to_text(env: LabelledEnv) -> str:
-    kind, row = _env_kind(env)
+    kind, row = _kind(_ENVS, env)
     return _text([("env", kind), *row[2](env.config)])
 
 
@@ -490,12 +493,6 @@ _FILTERS = {
 }
 
 
-def _kind(table: dict, part) -> str:
-    """The keyword of the row of `table` (_SOURCES or _FILTERS) whose class
-    `part` is."""
-    return next(kind for kind, row in table.items() if type(part) is row[0])
-
-
 # aggregation.mode -> describe's phrase (the op fields each mode reads are
 # scheme.AGGREGATION_MODES)
 _NESTED_PHRASE = "{mode}, inner {inner_op}, outer {outer_op}"
@@ -507,11 +504,10 @@ def kind_phrase(part) -> str:
     """The phrase `describe` prints for a scheme's source, filter or
     aggregation: the last column of its row (an aggregation's row is its
     mode's), filled in from its fields."""
-    if type(part) is Aggregation:
+    if isinstance(part, Aggregation):
         phrase = _AGGREGATIONS[part.mode]
     else:
-        rows = (*_SOURCES.values(), *_FILTERS.values())
-        phrase = next(row[-1] for row in rows if type(part) is row[0])
+        phrase = _kind({**_SOURCES, **_FILTERS}, part)[1][-1]
     return phrase.format_map(vars(part))
 
 
@@ -519,8 +515,8 @@ def scheme_to_text(scheme: Scheme) -> str:
     stakeholders = list(enumerate(scheme.status.stakeholders, start=1))
     lines = [("n", scheme.status.n)]
     for i, sk in stakeholders:
-        kind = _kind(_SOURCES, sk.source)
-        ref = getattr(sk.source, _SOURCES[kind][2])
+        kind, row = _kind(_SOURCES, sk.source)
+        ref = getattr(sk.source, row[2])
         if ref is None:
             raise ValueError(f"stakeholder {i}: {kind} source has no file reference")
         lines.append(("source", i, kind, ref))
@@ -530,9 +526,9 @@ def scheme_to_text(scheme: Scheme) -> str:
     agg, filt = scheme.aggregation, scheme.filter
     lines.append(("aggregation.mode", agg.mode))
     lines += [(f"aggregation.{op}", getattr(agg, op)) for op in AGGREGATION_MODES[agg.mode]]
-    kind = _kind(_FILTERS, filt)
+    kind, row = _kind(_FILTERS, filt)
     lines.append(("filter.kind", kind))
-    lines += [(key, getattr(filt, name)) for key, name, _ in _FILTERS[kind][1]]
+    lines += [(key, getattr(filt, name)) for key, name, _ in row[1]]
     lines.append(("empty_filter", scheme.empty_filter))
     return _text(lines)
 

@@ -395,19 +395,30 @@ EVALUATE_R3 = ("evaluate", "--env", "restaurant3.env", "--scheme",
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (OPTIMIZE_R3 + ("--method", "exhaustive", "--horizon", "-1"), ">= 0, got '-1'"),
-        (OPTIMIZE_R3 + ("--method", "memory_q", "--horizon", "-1"), ">= 0, got '-1'"),
+        (OPTIMIZE_R3 + ("--method", "exhaustive", "--horizon", "-1"), " >= 0, got '-1'"),
+        (OPTIMIZE_R3 + ("--method", "memory_q", "--horizon", "-1"), " >= 0, got '-1'"),
         (OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "3", "--lookahead", "0"),
-         ">= 1, got '0'"),
+         " >= 1, got '0'"),
         (OPTIMIZE_R3 + ("--method", "memory_q", "--horizon", "3", "--episodes", "-1"),
-         ">= 0, got '-1'"),
-        (OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "three"), ">= 0, got 'three'"),
-        (EVALUATE_R3 + ("--horizon", "-2"), ">= 0, got '-2'"),
+         " >= 0, got '-1'"),
+        (OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "three"), " >= 0, got 'three'"),
+        (EVALUATE_R3 + ("--horizon", "-2"), " >= 0, got '-2'"),
         (OPTIMIZE_R3 + ("--method", "exhaustive", "--horizon", "3", "--budget", "-1"),
-         ">= 0, got '-1'"),
+         " >= 0, got '-1'"),
+        # Integers are read as the file readers read them (no `_`, non-ASCII
+        # digits or spaces around), so what no file holds is a usage error.
+        (OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "1_0"), " >= 0, got '1_0'"),
+        (OPTIMIZE_R3 + ("--method", "greedy", "--horizon", "\u0663"), " >= 0, got '\u0663'"),
+        (OPTIMIZE_R3 + ("--method", "greedy", "--horizon", " 3"), " >= 0, got ' 3'"),
+        (EVALUATE_R3 + ("--horizon", "3 "), " >= 0, got '3 '"),
+        (OPTIMIZE_R3 + ("--method", "memory_q", "--horizon", "2", "--seed", "1_0"),
+         ", got '1_0'"),
+        (EVALUATE_R3 + ("--horizon", "2", "--seed", "\u0663"),
+         ", got '\u0663'"),
     ],
     ids=["exhaustive-horizon", "memory_q-horizon", "lookahead", "episodes", "not-an-integer",
-         "evaluate-horizon", "budget"],
+         "evaluate-horizon", "budget", "underscore", "arabic-indic-digit", "leading-space",
+         "evaluate-trailing-space", "optimize-seed", "evaluate-seed"],
 )
 def test_bad_numeric_arguments_are_usage_errors(
     run_cli, tmp_path, monkeypatch, capsys, argv, message
@@ -418,7 +429,22 @@ def test_bad_numeric_arguments_are_usage_errors(
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert f"expected an integer {message}" in err
+    assert f"expected an integer{message}" in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("optimize", ("--method", "memory_q", "--episodes", "+5", "--out", "run")),
+    ("evaluate", ("--policy", "random")),
+], ids=["optimize", "evaluate"])
+def test_a_signed_integer_argument_is_read_as_in_files(
+    run_cli, fixtures_dir, tmp_path, monkeypatch, command, extra
+):
+    """A sign is part of a number token, in a file as on the command line."""
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(command, "--env", fixtures_dir / "restaurant3.env",
+                           "--scheme", fixtures_dir / "restaurant3_longterm_nash.scheme",
+                           "--horizon", "+2", "--seed", "-3", *extra)
+    assert code == 0 and out.startswith("score ")
 
 
 class TestCompare:

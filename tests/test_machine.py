@@ -7,10 +7,9 @@ from temporal_pluralism.formula import parse_formula
 from temporal_pluralism.machine import (
     InvalidStateError,
     MachineValidation,
+    GuardProblem,
     MachineValidationError,
     NoEnabledTransitionError,
-    NondeterministicGuards,
-    NotTotal,
     RewardMachine,
     Transition,
     require_valid,
@@ -96,7 +95,7 @@ class TestValidation:
         report = validate_machine(m)
         assert not report.ok
         assert report.problems == (
-            NondeterministicGuards("q", frozenset({"pasta"}), (0, 1)),
+            GuardProblem("q", frozenset({"pasta"}), (0, 1)),
         )
         assert "q" in report.describe() and "{pasta}" in report.describe()
 
@@ -108,8 +107,46 @@ class TestValidation:
             transitions=(Transition("q", g("pasta", ("pasta",)), "q", 0.0),),
         )
         report = validate_machine(m)
-        assert report.problems == (NotTotal("q", frozenset()),)
+        assert report.problems == (GuardProblem("q", frozenset(), ()),)
         assert "{}" in report.describe()
+
+    def test_a_mixed_report_keeps_state_then_valuation_order(self):
+        """Gaps and overlaps are one kind of problem, listed by state, then
+        by valuation, and each keeps its own message."""
+        alphabet = ("pasta", "cake")
+        m = RewardMachine(
+            states=("q", "r"),
+            initial="q",
+            alphabet=alphabet,
+            transitions=(
+                Transition("r", g("cake", alphabet), "q", 0.0),
+                Transition("q", g("pasta", alphabet), "r", 1.0),
+                Transition("q", g("cake", alphabet), "q", 0.0),
+                Transition("r", g("true", alphabet), "r", 2.0),
+            ),
+        )
+        report = validate_machine(m)
+        assert report.problems == (
+            GuardProblem("q", frozenset(), ()),
+            GuardProblem("q", frozenset({"pasta", "cake"}), (1, 2)),
+            GuardProblem("r", frozenset({"cake"}), (0, 3)),
+            GuardProblem("r", frozenset({"pasta", "cake"}), (0, 3)),
+        )
+        assert report.describe() == (
+            "state q: no guard holds on {}; "
+            "state q: guards of transitions 1, 2 overlap on {cake,pasta}; "
+            "state r: guards of transitions 0, 3 overlap on {cake}; "
+            "state r: guards of transitions 0, 3 overlap on {cake,pasta}"
+        )
+        with pytest.raises(MachineValidationError) as exc:
+            require_valid(m, "mixed.rm")
+        assert str(exc.value) == (
+            "mixed.rm: not a valid machine\n"
+            "  state q: no guard holds on {}\n"
+            "  state q: guards of transitions 1, 2 overlap on {cake,pasta}\n"
+            "  state r: guards of transitions 0, 3 overlap on {cake}\n"
+            "  state r: guards of transitions 0, 3 overlap on {cake,pasta}"
+        )
 
     def test_require_valid_passes_through(self, dinner):
         assert require_valid(dinner) is dinner
@@ -128,9 +165,9 @@ class TestValidation:
     def test_ok_is_read_from_the_problems(self):
         """A report cannot say ok while it lists a problem."""
         assert MachineValidation(()).ok
-        assert not MachineValidation((NotTotal("q", frozenset()),)).ok
+        assert not MachineValidation((GuardProblem("q", frozenset(), ()),)).ok
         with pytest.raises(TypeError):
-            MachineValidation(ok=True, problems=(NotTotal("q", frozenset()),))
+            MachineValidation(ok=True, problems=(GuardProblem("q", frozenset(), ()),))
 
 
 class TestConstruction:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temporal_pluralism import optimize as optimize_module
-from temporal_pluralism import scheme as scheme_module
 from temporal_pluralism.environment import (
     DeliveryConfig,
     DeliveryGridEnv,
@@ -303,19 +302,20 @@ class TestMemoryQ:
 
 @pytest.mark.parametrize("horizon", [1, 4])
 def test_memory_q_steps_each_status_state_once(monkeypatch, horizon):
-    """step_state runs once per distinct (node, action) link taken; _result's
-    rescoring of the returned run folds the status table kernel instead."""
-    stepped = []
-    real_step_state = scheme_module.step_state
+    """The status step runs once per distinct (node, action) link taken;
+    _result's rescoring of the returned run folds the status table kernel
+    instead."""
+    scheme, stepped = count_scheme(2), []
+    real_step = scheme.status.step
 
-    def recording(status, state, s, a, s2, label):
+    def recording(state, s, a, s2, label):
         stepped.append((s, state, a))
-        return real_step_state(status, state, s, a, s2, label)
+        return real_step(state, s, a, s2, label)
 
-    monkeypatch.setattr(optimize_module, "step_state", recording)
-    monkeypatch.setattr(scheme_module, "step_state", recording)
+    # `step` is a cached_property, so the instance's own entry shadows it.
+    monkeypatch.setitem(scheme.status.__dict__, "step", recording)
     monkeypatch.setattr(optimize_module, "EPSILON", 1.0)
-    optimize_memory_q(distinct_env(2), count_scheme(2), horizon, episodes=200, seed=0)
+    optimize_memory_q(distinct_env(2), scheme, horizon, episodes=200, seed=0)
     assert len(set(stepped)) == len(stepped)
     # A node at depth t is (v_t, the counts of t visits): t + 1 nodes with
     # 2 links each, all taken by 200 random episodes: H(H + 1) links.
@@ -334,21 +334,20 @@ def test_memory_q_resets_the_env_as_replay_does(monkeypatch):
 
 @pytest.mark.parametrize("lookahead, links", [(1, 8), (2, 14), (4, 20)])
 def test_greedy_steps_each_edge_once(monkeypatch, lookahead, links):
-    """step_state and env.step run once per distinct (node, action) link
-    the scans walk; _result's rescoring folds the status table kernel
+    """The status step and env.step run once per distinct (node, action)
+    link the scans walk; _result's rescoring folds the status table kernel
     instead."""
-    env, horizon = distinct_env(2), 4
+    env, scheme, horizon = distinct_env(2), count_scheme(2), 4
     stepped, env_steps = [], []
-    real_step_state, real_env_step = scheme_module.step_state, env.step
+    real_step, real_env_step = scheme.status.step, env.step
 
-    def recording(status, state, s, a, s2, label):
+    def recording(state, s, a, s2, label):
         stepped.append((s, state, a))
-        return real_step_state(status, state, s, a, s2, label)
+        return real_step(state, s, a, s2, label)
 
-    monkeypatch.setattr(optimize_module, "step_state", recording)
-    monkeypatch.setattr(scheme_module, "step_state", recording)
+    monkeypatch.setitem(scheme.status.__dict__, "step", recording)
     monkeypatch.setattr(env, "step", lambda *args: env_steps.append(args) or real_env_step(*args))
-    optimize_greedy(env, count_scheme(2), horizon, lookahead)
+    optimize_greedy(env, scheme, horizon, lookahead)
     assert len(set(stepped)) == len(stepped) == len(env_steps)
     # A node at depth t is (v_t, the counts of t visits).  Lookahead 1 walks
     # the 2 links of each committed node; lookahead 4 walks all t + 1 nodes

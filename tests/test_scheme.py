@@ -38,7 +38,6 @@ from temporal_pluralism.scheme import (
     states_score,
     status_eval,
     status_table,
-    step_state,
     _step_text,
 )
 
@@ -130,15 +129,15 @@ class TestStatusFunction:
         machine_mean = StakeholderStatus(MachineSource(dinner_machine()), "mean")
         discounted = StakeholderStatus(AtomCountSource("cake"), "discounted", 0.5)
         status = StatusFunction((count, machine_mean))
-        assert (status.discounts, status.averages) == (False, True)
+        assert status.means == (1,)
         assert status.machines == ((2, frozenset(ALPHA)),)
         assert status.start == (0, (0.0, 0.0), (1.0, 1.0), (None, "u0"))
         status = StatusFunction((count, discounted))
-        assert (status.discounts, status.machines, status.averages) == (True, (), False)
+        assert (status.machines, status.means) == ((), ())
         assert status.start == (0, (0.0, 0.0), (1.0, 1.0), (None, None))
         assert status == StatusFunction(list(status.stakeholders))
         with pytest.raises(TypeError):
-            StatusFunction((count,), discounts=True)
+            StatusFunction((count,), means=(0,))
 
     def test_a_step_shares_the_parts_no_stakeholder_changes(self):
         status = StatusFunction((
@@ -146,7 +145,7 @@ class TestStatusFunction:
             StakeholderStatus(AtomCountSource("cake"), "mean"),
         ))
         start = status.start
-        state = step_state(status, start, "s0", "go", "s1", frozenset({"pasta"}))
+        state = status.step(start, "s0", "go", "s1", frozenset({"pasta"}))
         assert state[:2] == (1, (1.0, 0.0))
         assert state[2] is start[2] and state[3] is start[3]
 
@@ -260,7 +259,7 @@ class TestStepKernel:
         rows = status.table(status.start, traj.states, traj.actions, traj.labels, (1, 2))
         assert set(status.__dict__) >= {"_kernel", "step", "table"}
         fields = set(status.__getstate__())
-        assert fields == {"stakeholders", "discounts", "markov", "machines", "averages", "start"}
+        assert fields == {"stakeholders", "markov", "machines", "means", "start"}
         copy = pickle.loads(pickle.dumps(status))
         assert copy == status
         assert copy.step(copy.start, "s0", "go", "s1", label) == state
@@ -754,7 +753,7 @@ def test_states_score_equals_pluralism_score_bit_for_bit(scheme, traj):
     status = scheme.status
     states = [status.start]
     for s, a, s2, label in zip(traj.states, traj.actions, traj.states[1:], traj.labels):
-        states.append(step_state(status, states[-1], s, a, s2, label))
+        states.append(status.step(states[-1], s, a, s2, label))
     try:
         expected = pluralism_score(scheme, traj)
     except EmptyFilterError as err:

@@ -38,6 +38,7 @@ from temporal_pluralism.serialize import (
     _split_line,
     env_to_text,
     format_real,
+    kind_phrase,
     load_env,
     load_machine,
     load_markov_table,
@@ -269,6 +270,29 @@ class TestSchemeFormat:
         )
         with pytest.raises(ValueError, match="reference"):
             scheme_to_text(scheme)
+
+    @pytest.mark.parametrize("part", ["source", "filter"])
+    def test_a_part_of_no_row_has_no_text_form(self, part):
+        class Telepathy:
+            pass
+
+        source = Telepathy() if part == "source" else AtomCountSource("a")
+        filt = Telepathy() if part == "filter" else LongTermFilter()
+        status = StatusFunction((StakeholderStatus(source),))
+        scheme = Scheme(status, Aggregation(op="product"), filt)
+        with pytest.raises(ValueError, match="^no text form for Telepathy$"):
+            scheme_to_text(scheme)
+        with pytest.raises(ValueError, match="^no text form for Telepathy$"):
+            kind_phrase(Telepathy())
+
+    def test_a_periodic_subclass_is_written_as_periodic(self):
+        class Weekly(PeriodicFilter):
+            pass
+
+        status = StatusFunction((StakeholderStatus(AtomCountSource("a")),))
+        scheme = Scheme(status, Aggregation(op="product"), Weekly(7))
+        assert scheme_to_text(scheme).splitlines()[-3:-1] == ["filter.kind periodic", "filter.p 7"]
+        assert kind_phrase(scheme.filter) == "periodic, every 7 steps"
 
     def test_missing_source(self):
         text = "n 2\nsource 1 count a\naggregation.op product\nfilter.kind long_term\n"
